@@ -33,7 +33,7 @@ from .evaluator import (
 )
 from .ingest import FormatOptions, PriceSeries, parse_baskets, parse_date, parse_prices
 from .layout import LayoutParams, LayoutResult, assign_positions, stretch
-from .sequence import BasketSequence, Event, Token, from_baskets, from_plain
+from .sequence import BasketSequence, Token, from_baskets, from_plain
 from .tangler import (
     BASKET,
     ENTRANCE,
@@ -72,7 +72,6 @@ __all__ = [
     "EmptyEvaluationError",
     "EmptySequenceError",
     "EvalParams",
-    "Event",
     "FormatOptions",
     "IN_PILL",
     "KeyEvent",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,13 +48,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _positive_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -101,12 +118,35 @@ def _add_input_options(parser: argparse.ArgumentParser):
     )
 
 
+def _undecodable(path: str) -> ParseError:
+    """The error for a file that is not UTF-8, naming its first bad line."""
+    with open(path, "rb") as handle:
+        number = 0
+        for chunk in handle:
+            # split like universal newlines, so line numbers match the parsers'
+            for raw in chunk.splitlines():
+                number += 1
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return ParseError(f"{path} is not valid UTF-8 ({exc.reason})", line=number)
+    return ParseError(f"{path} is not valid UTF-8")
+
+
+def _parse_file(path: str, parse, *args):
+    """Stream ``path``, strictly decoded, through ``parse(lines, *args)``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return parse(handle, *args)
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+
+
 def _read_sequence(args):
     options = FormatOptions(
         delimiter=args.delimiter, has_header=args.header, date_style=args.date_style
     )
-    with open(args.input, encoding="utf-8", errors="replace", newline="") as handle:
-        return parse_baskets(handle, options)
+    return _parse_file(args.input, parse_baskets, options)
 
 
 def _write_text(path: str | None, text: str):
@@ -116,37 +156,18 @@ def _write_text(path: str | None, text: str):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _layout_params(args) -> LayoutParams:
-    return LayoutParams(
-        a=args.extension_a,
-        stretch_iterations=args.stretch_iterations,
-        stretch_step=args.stretch_step,
-    )
-
-
-def _render(result, args, with_layout: bool) -> str:
-    params = _layout_params(args)
-    layout = None
-    if with_layout or args.format == "dot":
-        layout = assign_positions(result.sequence, result, params)
-        if params.stretch_iterations:
-            layout = stretch(layout, params)
-    if args.format == "dot":
-        return emit_dot(result, layout)
-    return emit_json(result, layout, key_events=args.key_events)
-
-
 def _cmd_tangle(args) -> int:
-    seq = _read_sequence(args)
-    result = tangle(seq, TangleParams(args.window, args.variant))
-    _write_text(args.out, _render(result, args, with_layout=False))
-    return 0
-
-
-def _cmd_layout(args) -> int:
-    seq = _read_sequence(args)
-    result = tangle(seq, TangleParams(args.window, args.variant))
-    _write_text(args.out, _render(result, args, with_layout=True))
+    """``tangle`` renders JSON or DOT; ``layout`` adds coordinates to the JSON."""
+    result = tangle(_read_sequence(args), TangleParams(args.window, args.variant))
+    if args.command == "layout":
+        params = LayoutParams(args.extension_a, args.stretch_iterations, args.stretch_step)
+        layout = stretch(assign_positions(result.sequence, result, params), params)
+        text = emit_json(result, layout, key_events=args.key_events)
+    elif args.format == "dot":
+        text = emit_dot(result)
+    else:
+        text = emit_json(result, key_events=args.key_events)
+    _write_text(args.out, text)
     return 0
 
 
@@ -176,8 +197,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     seq = _read_sequence(args)
-    with open(args.prices, encoding="utf-8", errors="replace", newline="") as handle:
-        prices = parse_prices(handle, delimiter=args.delimiter)
+    prices = _parse_file(args.prices, parse_prices, args.delimiter)
     params = EvalParams(
         windows=tuple(args.windows),
         deltas_months=tuple(args.deltas),
@@ -200,6 +220,8 @@ def _cmd_eval(args) -> int:
 def _load_synth_spec(path: str, seed_override: int | None) -> SyntheticSpec:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     try:
@@ -228,9 +250,8 @@ def _cmd_synth(args) -> int:
     seq, boundaries = generate_synthetic(spec)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    for k, basket in enumerate(seq.baskets()):
-        label = seq.time_label(k) or str(k)
-        writer.writerow([label] + [event.token for event in basket])
+    for k, (label, basket) in enumerate(zip(seq.time_labels, seq.baskets())):
+        writer.writerow([label or str(k), *basket])
     _write_text(args.out, buffer.getvalue())
     if args.boundaries_out:
         _write_text(
@@ -244,25 +265,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tangled", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, formats):
+    def add_tangle_options(sub):
         _add_input_options(sub)
+        sub.add_argument("--window", type=_positive_int, required=True)
         sub.add_argument("--variant", default=BASKET, choices=[PLAIN, BASKET])
-        sub.add_argument("--format", default=formats[0], choices=list(formats))
         sub.add_argument("--out", default=None, help="output file (default stdout)")
         sub.add_argument("--key-events", type=_positive_int, default=DEFAULT_KEY_EVENTS)
-        sub.add_argument("--extension-a", type=float, default=1.0, help="extrapolation gain")
-        sub.add_argument("--stretch-iterations", type=int, default=0)
-        sub.add_argument("--stretch-step", type=float, default=0.05)
+        sub.set_defaults(handler=_cmd_tangle)
 
     sub = subparsers.add_parser("tangle", help="segment one basket file")
-    add_common(sub, ("json", "dot"))
-    sub.add_argument("--window", type=_positive_int, required=True)
-    sub.set_defaults(handler=_cmd_tangle)
+    add_tangle_options(sub)
+    sub.add_argument("--format", default="json", choices=["json", "dot"])
 
-    sub = subparsers.add_parser("layout", help="segment and embed in the plane")
-    add_common(sub, ("json", "dot"))
-    sub.add_argument("--window", type=_positive_int, required=True)
-    sub.set_defaults(handler=_cmd_layout)
+    sub = subparsers.add_parser("layout", help="segment and embed in the plane (JSON)")
+    add_tangle_options(sub)
+    sub.add_argument("--extension-a", type=float, default=1.0, help="extrapolation gain")
+    sub.add_argument("--stretch-iterations", type=_int_at_least(0), default=0)
+    sub.add_argument("--stretch-step", type=_positive_float, default=0.05)
 
     sub = subparsers.add_parser("sweep", help="tangle at several window widths")
     _add_input_options(sub)
@@ -306,10 +325,7 @@ def cli_main(argv=None) -> int:
     except (ParseError, EmptyBasketError, EmptySequenceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return PARSE_EXIT
-    except (EmptyEvaluationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except OSError as exc:
+    except (EmptyEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .layout import LayoutResult
+from .layout import LayoutResult, shared_groups
 from .tangler import ENTRANCE, EXIT, TangleResult, key_pill_events, key_wire_events
 
 SCHEMA_VERSION = 1
@@ -37,26 +37,19 @@ def document_dict(
 ) -> dict:
     """The document as a plain dict (see :func:`emit_json`)."""
     seq = result.sequence
+    tokens, basket_of, labels = seq.tokens, seq.basket_membership, seq.time_labels
 
     def event_ref(index: int) -> dict:
-        basket = seq.basket_of(index)
         return {
             "position": index + 1,
-            "token": seq.token_at(index),
-            "date": seq.time_label(basket),
+            "token": tokens[index],
+            "date": labels[basket_of[index]],
         }
 
-    events = []
-    for i in range(seq.length):
-        basket = seq.basket_of(i)
-        events.append(
-            {
-                "position": i + 1,
-                "token": seq.token_at(i),
-                "basket": basket + 1,
-                "date": seq.time_label(basket),
-            }
-        )
+    events = [
+        {"position": i + 1, "token": token, "basket": basket + 1, "date": labels[basket]}
+        for i, (token, basket) in enumerate(zip(tokens, basket_of))
+    ]
 
     pills = []
     for number, pill in enumerate(result.pills, start=1):
@@ -75,7 +68,7 @@ def document_dict(
                 "entrance": event_ref(pill.entrance_event),
                 "exit": event_ref(pill.exit_event),
                 "top_members": [
-                    {"position": index + 1, "token": seq.token_at(index), "weight": weight}
+                    {"position": index + 1, "token": tokens[index], "weight": weight}
                     for index, weight in weighted[:TOP_MEMBERS]
                 ],
             }
@@ -95,7 +88,7 @@ def document_dict(
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": {"window": result.params.window_w, "variant": result.params.variant},
-        "length": seq.length,
+        "length": len(seq),
         "baskets": seq.basket_count,
         "events": events,
         "matches": [
@@ -120,7 +113,7 @@ def document_dict(
                     "x": layout.positions[i][0],
                     "y": layout.positions[i][1],
                 }
-                for i in range(seq.length)
+                for i in range(len(seq))
             ],
             "groups": [
                 [member + 1 for member in group]
@@ -147,7 +140,7 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(result: TangleResult, layout: LayoutResult) -> str:
+def emit_dot(result: TangleResult) -> str:
     """Render the tangle as a DOT digraph.
 
     One node per shared-position group, labelled with the token and the
@@ -155,21 +148,15 @@ def emit_dot(result: TangleResult, layout: LayoutResult) -> str:
     gradient-filled; entrance/exit nodes are sized by wire weight.  Edges
     walk the sequence in order; each pill becomes a cluster.
     """
-    seq = result.sequence
-    groups = layout.shared_position_groups
-    group_of: dict[int, int] = {}
-    for gid, group in enumerate(groups):
-        for member in group:
-            group_of[member] = gid
-
+    tokens = result.sequence.tokens
+    groups, group_ids = shared_groups(result)
     entrances = {pill.entrance_event for pill in result.pills}
     exits = {pill.exit_event for pill in result.pills}
     max_weight = max(result.wire_weight.values(), default=0)
 
-    def node_line(gid: int) -> str:
+    def node_attrs(gid: int) -> str:
         group = groups[gid]
-        token = seq.token_at(group[0])
-        label = f"{token} @ {','.join(str(i + 1) for i in group)}"
+        label = f"{tokens[group[0]]} @ {','.join(str(i + 1) for i in group)}"
         attrs = [f"label={_quote(label)}"]
         has_entrance = any(member in entrances for member in group)
         has_exit = any(member in exits for member in group)
@@ -185,34 +172,27 @@ def emit_dot(result: TangleResult, layout: LayoutResult) -> str:
             attrs.append(f'width="{width:.3f}"')
             attrs.append(f'height="{width:.3f}"')
             attrs.append("fixedsize=true")
-        return f"    g{gid} [{', '.join(attrs)}];"
+        return ", ".join(attrs)
 
-    pill_of_group: dict[int, int | None] = {}
+    # a match never leaves its pill, so a group lies in the pill of its first member
+    number_of = {pill: number for number, pill in enumerate(result.pills)}
+    in_pill: list[list[int]] = [[] for _ in result.pills]
+    on_wire: list[int] = []
     for gid, group in enumerate(groups):
         pill = result.pill_of(group[0])
-        pill_of_group[gid] = result.pills.index(pill) if pill is not None else None
+        (on_wire if pill is None else in_pill[number_of[pill]]).append(gid)
 
     lines = [
         "digraph tangle {",
         "  rankdir=LR;",
         "  node [shape=circle, style=filled, fillcolor=lightgray, fontsize=10];",
     ]
-    for number, pill in enumerate(result.pills):
-        lines.append(f"  subgraph cluster_pill_{number + 1} {{")
-        label = f"pill {number + 1} (span {pill.span})"
-        lines.append(f"    label={_quote(label)};")
-        for gid in range(len(groups)):
-            if pill_of_group[gid] == number:
-                lines.append("  " + node_line(gid))
+    for number, (pill, gids) in enumerate(zip(result.pills, in_pill), start=1):
+        lines.append(f"  subgraph cluster_pill_{number} {{")
+        lines.append(f"    label={_quote(f'pill {number} (span {pill.span})')};")
+        lines.extend(f"      g{gid} [{node_attrs(gid)}];" for gid in gids)
         lines.append("  }")
-    for gid in range(len(groups)):
-        if pill_of_group[gid] is None:
-            lines.append(node_line(gid)[2:])
-    edges = []
-    for i in range(seq.length - 1):
-        a, b = group_of[i], group_of[i + 1]
-        if a != b:
-            edges.append(f"  g{a} -> g{b};")
-    lines.extend(edges)
+    lines.extend(f"  g{gid} [{node_attrs(gid)}];" for gid in on_wire)
+    lines.extend(f"  g{a} -> g{b};" for a, b in zip(group_ids, group_ids[1:]) if a != b)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -304,8 +304,8 @@ class RegimeSpec:
     repeat_rate: float = 0.6
 
     def __post_init__(self):
-        if not self.vocabulary:
-            raise ValueError("vocabulary must be non-empty")
+        if not self.vocabulary or not all(self.vocabulary):
+            raise ValueError("vocabulary must be non-empty, of non-empty tokens")
         if self.length_baskets < 1:
             raise ValueError("length_baskets must be >= 1")
         if not 0.0 <= self.repeat_rate <= 1.0:
@@ -336,6 +336,10 @@ class SyntheticSpec:
             raise ValueError("noise_rate must be in [0, 1]")
         if self.basket_size < 1:
             raise ValueError("basket_size must be >= 1")
+        if self.start_date is not None:
+            if not isinstance(self.start_date, str):
+                raise TypeError(f"start_date must be a date string, got {self.start_date!r}")
+            parse_date(self.start_date)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[BasketSequence, list[int]]:

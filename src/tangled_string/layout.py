@@ -45,16 +45,17 @@ class LayoutResult:
 
     Groups are the connected components of the match graph, ordered by
     their smallest member; unmatched events form singleton groups.
+    ``group_ids[i]`` is the index of event i's group.
     """
 
     positions: Mapping[int, Position]
     shared_position_groups: tuple[tuple[int, ...], ...]
+    group_ids: tuple[int, ...]
 
     def group_of(self, index: int) -> tuple[int, ...]:
-        for group in self.shared_position_groups:
-            if index in group:
-                return group
-        raise KeyError(index)
+        if not 0 <= index < len(self.group_ids):
+            raise KeyError(index)
+        return self.shared_position_groups[self.group_ids[index]]
 
 
 def _rotate(direction: Position, angle: float) -> Position:
@@ -63,24 +64,28 @@ def _rotate(direction: Position, angle: float) -> Position:
     return (x * cos_a - y * sin_a, x * sin_a + y * cos_a)
 
 
-def _shared_groups(length: int, matches) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(length))
+def shared_groups(result: TangleResult) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The groups of events that share one point, and each event's group id.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in matches:
-        ra, rb = find(m.earlier), find(m.later)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    members: dict[int, list[int]] = {}
-    for i in range(length):
-        members.setdefault(find(i), []).append(i)
-    return tuple(tuple(members[root]) for root in sorted(members))
+    Each event is the later end of at most one match, and matches come in
+    scan order, so the match graph is a forest rooted at the unmatched
+    events: event i joins the group of the event it matched, or opens a
+    new one.  Groups are therefore ordered by their smallest member.
+    """
+    earlier = [-1] * len(result.sequence)
+    for m in result.matches:
+        earlier[m.later] = m.earlier
+    groups: list[list[int]] = []
+    group_ids: list[int] = []
+    for i, j in enumerate(earlier):
+        if j < 0:
+            gid = len(groups)
+            groups.append([i])
+        else:
+            gid = group_ids[j]
+            groups[gid].append(i)
+        group_ids.append(gid)
+    return tuple(map(tuple, groups)), tuple(group_ids)
 
 
 def assign_positions(
@@ -99,14 +104,14 @@ def assign_positions(
     if result.sequence is not seq and result.sequence != seq:
         raise ValueError("result was computed from a different sequence")
 
-    target: dict[int, int] = {m.later: m.earlier for m in result.matches}
-    length = seq.length
+    groups, group_ids = shared_groups(result)
     positions: list[Position] = []
     last_direction: Position = (1.0, 0.0)
 
-    for i in range(length):
-        if i in target:
-            pos = positions[target[i]]
+    for i, gid in enumerate(group_ids):
+        root = groups[gid][0]
+        if root < i:
+            pos = positions[root]
         elif i == 0:
             pos = (0.0, 0.0)
         elif i == 1:
@@ -128,11 +133,7 @@ def assign_positions(
             if norm > 0.0:
                 last_direction = (mx / norm, my / norm)
 
-    groups = _shared_groups(length, result.matches)
-    return LayoutResult(
-        positions={i: positions[i] for i in range(length)},
-        shared_position_groups=groups,
-    )
+    return LayoutResult(dict(enumerate(positions)), groups, group_ids)
 
 
 def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
@@ -147,21 +148,14 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
     if params.stretch_iterations == 0:
         return layout
 
-    groups = layout.shared_position_groups
+    groups, group_ids = layout.shared_position_groups, layout.group_ids
     count = len(groups)
-    group_of: dict[int, int] = {}
-    for gid, group in enumerate(groups):
-        for member in group:
-            group_of[member] = gid
-    length = len(group_of)
-
     coords = [list(layout.positions[group[0]]) for group in groups]
-    pinned = {group_of[0], group_of[length - 1]}
+    pinned = {group_ids[0], group_ids[-1]}
 
     springs: list[tuple[int, int]] = []
     linked: set[tuple[int, int]] = set()
-    for i in range(length - 1):
-        a, b = group_of[i], group_of[i + 1]
+    for a, b in zip(group_ids, group_ids[1:]):
         if a != b:
             springs.append((a, b))
             linked.add((min(a, b), max(a, b)))
@@ -203,9 +197,5 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
             coords[gid][0] += params.stretch_step * forces[gid][0]
             coords[gid][1] += params.stretch_step * forces[gid][1]
 
-    positions: dict[int, Position] = {}
-    for gid, group in enumerate(groups):
-        point = (coords[gid][0], coords[gid][1])
-        for member in group:
-            positions[member] = point
-    return LayoutResult(positions=positions, shared_position_groups=groups)
+    points = [(x, y) for x, y in coords]
+    return LayoutResult({i: points[gid] for i, gid in enumerate(group_ids)}, groups, group_ids)

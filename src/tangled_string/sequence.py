@@ -11,22 +11,12 @@ package; renderers add one when writing positions out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyBasketError, EmptySequenceError
 
 Token = str
-
-
-@dataclass(frozen=True)
-class Event:
-    """One token occurrence: flat index, symbol, owning basket, basket date."""
-
-    index: int
-    token: Token
-    basket_index: int
-    time_label: str | None = None
 
 
 class BasketSequence:
@@ -80,11 +70,6 @@ class BasketSequence:
     # -- sizes ---------------------------------------------------------------
 
     @property
-    def length(self) -> int:
-        """Number of events (flattened)."""
-        return len(self._tokens)
-
-    @property
     def basket_count(self) -> int:
         return len(self._basket_starts)
 
@@ -97,13 +82,6 @@ class BasketSequence:
     def tokens(self) -> tuple[Token, ...]:
         return self._tokens
 
-    def token_at(self, index: int) -> Token:
-        return self._tokens[index]
-
-    def basket_of(self, index: int) -> int:
-        """Basket ordinal that event ``index`` belongs to."""
-        return self._basket_of[index]
-
     @property
     def basket_membership(self) -> tuple[int, ...]:
         """Per-event basket ordinal, parallel to ``tokens``."""
@@ -114,52 +92,22 @@ class BasketSequence:
         """Flat index of the first event of each basket."""
         return self._basket_starts
 
-    def basket_start(self, basket: int) -> int:
-        """Flat index of the first event in ``basket``."""
-        return self._basket_starts[basket]
-
-    def basket_end(self, basket: int) -> int:
-        """Flat index of the last event in ``basket``."""
-        if basket + 1 < len(self._basket_starts):
-            return self._basket_starts[basket + 1] - 1
-        return len(self._tokens) - 1
-
-    def time_label(self, basket: int) -> str | None:
-        return self._time_labels[basket]
-
     @property
     def time_labels(self) -> tuple[str | None, ...]:
         return self._time_labels
 
-    def event(self, index: int) -> Event:
-        basket = self._basket_of[index]
-        return Event(index, self._tokens[index], basket, self._time_labels[basket])
-
-    def events(self) -> Iterator[Event]:
-        for i in range(len(self._tokens)):
-            yield self.event(i)
-
-    def basket_events(self, basket: int) -> tuple[Event, ...]:
-        return tuple(
-            self.event(i) for i in range(self.basket_start(basket), self.basket_end(basket) + 1)
-        )
-
-    def baskets(self) -> Iterator[tuple[Event, ...]]:
+    def baskets(self) -> Iterator[tuple[Token, ...]]:
+        """The tokens of each basket, in order."""
+        bounds = self._basket_starts + (len(self._tokens),)
         for k in range(self.basket_count):
-            yield self.basket_events(k)
+            yield self._tokens[bounds[k] : bounds[k + 1]]
 
     def prefix(self, basket_count: int) -> "BasketSequence":
         """The sub-sequence made of the first ``basket_count`` baskets."""
         if basket_count < 1:
             raise EmptySequenceError("prefix must keep at least one basket")
-        basket_count = min(basket_count, self.basket_count)
-        end = self.basket_end(basket_count - 1) + 1
-        baskets = [
-            self._tokens[self.basket_start(k) : self.basket_end(k) + 1]
-            for k in range(basket_count)
-        ]
-        assert sum(len(b) for b in baskets) == end
-        return BasketSequence(baskets, self._time_labels[:basket_count])
+        count = min(basket_count, self.basket_count)
+        return BasketSequence(islice(self.baskets(), count), self._time_labels[:count])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BasketSequence):
@@ -174,7 +122,7 @@ class BasketSequence:
         return hash((self._tokens, self._basket_of, self._time_labels))
 
     def __repr__(self) -> str:
-        return f"BasketSequence(events={self.length}, baskets={self.basket_count})"
+        return f"BasketSequence(events={len(self)}, baskets={self.basket_count})"
 
 
 def from_plain(tokens: Iterable[Token]) -> BasketSequence:

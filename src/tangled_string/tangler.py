@@ -28,8 +28,10 @@ and the whole run costs O(L) regardless of W.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .sequence import BasketSequence, Token
@@ -137,30 +139,10 @@ class TangleResult:
 
     def pill_of(self, index: int) -> Pill | None:
         """The pill containing event ``index``, if any (binary search)."""
-        lo, hi = 0, len(self.pills) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            pill = self.pills[mid]
-            if index < pill.first_event:
-                hi = mid - 1
-            elif index > pill.last_event:
-                lo = mid + 1
-            else:
-                return pill
+        number = bisect_right(self.pills, index, key=attrgetter("first_event")) - 1
+        if number >= 0 and index <= self.pills[number].last_event:
+            return self.pills[number]
         return None
-
-
-class _Builder:
-    """Mutable pill-in-progress; merged pills always sit at the list tail."""
-
-    __slots__ = ("first", "last", "entrance", "ent_order", "exit")
-
-    def __init__(self, first: int, last: int, entrance: int, ent_order: int, exit_: int):
-        self.first = first
-        self.last = last
-        self.entrance = entrance
-        self.ent_order = ent_order
-        self.exit = exit_
 
 
 def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
@@ -180,7 +162,9 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
     occurrences: dict[Token, deque[int]] = defaultdict(deque)
     matches: list[Match] = []
     pill_weight: dict[int, int] = {}
-    builders: list[_Builder] = []
+    # pills in progress as (first, last, entrance, entrance order, exit);
+    # a merge only ever absorbs the tail of the stack
+    builders: list[tuple[int, int, int, int, int]] = []
 
     for i in range(length):
         token = tokens[i]
@@ -204,22 +188,22 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
                 high = (starts[k + 1] - 1) if k + 1 < basket_count else length - 1
             order = len(matches)
             entrance, ent_order = j, order
-            while builders and builders[-1].last >= low:
-                absorbed = builders.pop()
-                if absorbed.first < low:
-                    low = absorbed.first
-                if absorbed.last > high:
-                    high = absorbed.last
-                if absorbed.ent_order < ent_order:
-                    ent_order = absorbed.ent_order
-                    entrance = absorbed.entrance
-            builders.append(_Builder(low, high, entrance, ent_order, i))
+            while builders and builders[-1][1] >= low:
+                first, last, absorbed_entrance, absorbed_order, _ = builders.pop()
+                if first < low:
+                    low = first
+                if last > high:
+                    high = last
+                if absorbed_order < ent_order:
+                    ent_order = absorbed_order
+                    entrance = absorbed_entrance
+            builders.append((low, high, entrance, ent_order, i))
             pill_weight[j] = pill_weight.get(j, 0) + (i - j)
             matches.append(Match(j, i))
         recent.append(i)
 
     pills = tuple(
-        Pill(b.first, b.last, b.entrance, b.exit) for b in builders
+        Pill(first, last, entrance, exit_) for first, last, entrance, _, exit_ in builders
     )
     wire_weight: dict[int, int] = {}
     wire_events: list[int] = []
@@ -244,14 +228,14 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
 
 def _top_k(weights: Mapping[int, int], k: int) -> list[tuple[int, int]]:
     # heaviest first; ties broken toward the earlier event
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
 
 def key_pill_events(result: TangleResult, k: int) -> list[KeyEvent]:
     """The k heaviest in-pill events by accumulated revisit distance."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     tokens = result.sequence.tokens
     return [
         KeyEvent(index, tokens[index], IN_PILL, weight, rank)
@@ -261,8 +245,6 @@ def key_pill_events(result: TangleResult, k: int) -> list[KeyEvent]:
 
 def key_wire_events(result: TangleResult, k: int) -> list[KeyEvent]:
     """The k heaviest wire-weighted events (pill entrances and exits)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     role_of: dict[int, str] = {}
     for pill in result.pills:
         role_of[pill.entrance_event] = ENTRANCE
@@ -277,13 +259,12 @@ def key_wire_events(result: TangleResult, k: int) -> list[KeyEvent]:
 def change_points(result: TangleResult) -> list[ChangePoint]:
     """One entrance and one exit record per pill, in basket order."""
     seq = result.sequence
+    tokens, basket_of, labels = seq.tokens, seq.basket_membership, seq.time_labels
     records = []
     for pill in result.pills:
         for index, role in ((pill.entrance_event, ENTRANCE), (pill.exit_event, EXIT)):
-            basket = seq.basket_of(index)
-            records.append(
-                ChangePoint(index, seq.token_at(index), role, basket, seq.time_label(basket))
-            )
+            basket = basket_of[index]
+            records.append(ChangePoint(index, tokens[index], role, basket, labels[basket]))
     records.sort(key=lambda cp: (cp.basket_index, cp.event_index))
     return records
 

@@ -41,7 +41,7 @@ def random_case(seed: int) -> tuple[BasketSequence, TangleParams]:
 
 def check_partition(result):
     """Pill members and wire events partition the event range exactly."""
-    length = result.sequence.length
+    length = len(result.sequence)
     seen = [0] * length
     for pill in result.pills:
         for member in pill.members:
@@ -98,22 +98,22 @@ def saturation_window(seq, variant) -> int:
     """The width beyond which every event matches its token's first occurrence."""
     first_seen = {}
     bound = 1
-    for event in seq.events():
-        if event.token in first_seen:
-            first = first_seen[event.token]
+    for index, (token, basket) in enumerate(zip(seq.tokens, seq.basket_membership)):
+        if token in first_seen:
+            first_index, first_basket = first_seen[token]
             if variant == PLAIN:
-                bound = max(bound, event.index - first.index)
+                bound = max(bound, index - first_index)
             else:
-                bound = max(bound, event.basket_index - first.basket_index + 1)
+                bound = max(bound, basket - first_basket + 1)
         else:
-            first_seen[event.token] = event
+            first_seen[token] = (index, basket)
     return bound
 
 
 def check_saturation(seq, variant):
     bound = saturation_window(seq, variant)
     saturated = tangle(seq, TangleParams(bound, variant))
-    huge = tangle(seq, TangleParams(seq.length + seq.basket_count, variant))
+    huge = tangle(seq, TangleParams(len(seq) + seq.basket_count, variant))
     assert saturated.pills == huge.pills
     assert saturated.matches == huge.matches
 

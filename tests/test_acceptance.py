@@ -52,8 +52,8 @@ def test_criterion_1_golden_pill_structure():
     at_6 = tangle(seq, TangleParams(6, PLAIN))
     assert len(at_6.pills) == 2
     first = at_6.pills[0]
-    assert seq.token_at(first.entrance_event) == "2"
-    assert seq.token_at(first.exit_event) == "4"
+    assert seq.tokens[first.entrance_event] == "2"
+    assert seq.tokens[first.exit_event] == "4"
     top = key_pill_events(at_6, 1)
     assert top[0].token == "3"
 
@@ -74,7 +74,7 @@ def test_criterion_3_oracle_equivalence():
         seq, params = random_case(seed)
         fast = tangle(seq, params)
         slow = naive_tangle(seq, params.window_w, params.variant)
-        context = (seed, params.window_w, params.variant, seq.length)
+        context = (seed, params.window_w, params.variant, len(seq))
         assert [(m.earlier, m.later) for m in fast.matches] == slow.matches, context
         assert [
             (p.first_event, p.last_event, p.entrance_event, p.exit_event)

@@ -434,3 +434,89 @@ def test_no_arguments_is_usage_error():
     )
     assert proc.returncode == 1
     assert "usage error" in proc.stderr
+
+
+# --------------------------------------------------- strict input handling
+
+
+def test_undecodable_baskets_are_input_error(tmp_path, capsys):
+    # 0xff and 0xfe would both decode to U+FFFD under replacement and match
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"2020-01-03,A\r\n2020-01-10,\xff\r\n2020-01-17,\xfe\r\n")
+    code = cli_main(["tangle", "--input", str(path), "--window", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "line 2" in err
+    assert "UTF-8" in err
+
+
+def test_undecodable_prices_are_input_error(tmp_path, capsys):
+    baskets, _ = scenario_csv(tmp_path)
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(b"2010-01-01,A,5\n2010-01-08,A,6\n2010-01-15,\xc3,7\n")
+    code = cli_main(
+        ["eval", "--input", baskets, "--prices", str(prices), "--windows", "3", "--deltas", "3"]
+    )
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_undecodable_synth_spec_is_input_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"seed": 1,\n "regimes": "\xff"}\n')
+    code = cli_main(["synth", "--spec", str(path)])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"start_date": "garbage"}, {"start_date": 5},
+     {"regimes": [{"vocabulary": ["a", ""], "length_baskets": 3}]}],
+)
+def test_synth_bad_spec_values_are_input_errors(tmp_path, capsys, overrides):
+    code = cli_main(["synth", "--spec", synth_spec(tmp_path, **overrides)])
+    assert code == 2
+    assert "bad synthetic spec" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    def broken(*_args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("tangled_string.cli.tangle", broken)
+    with pytest.raises(ValueError, match="bug"):
+        cli_main(["tangle", "--input", demo_csv(tmp_path), "--window", "6"])
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--stretch-iterations", "-1"), ("--stretch-step", "0"),
+                      ("--stretch-step", "nan")]
+)
+def test_stretch_options_are_checked_when_parsed(tmp_path, capsys, option, value):
+    code = cli_main(["layout", "--input", demo_csv(tmp_path), "--window", "6", option, value])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tangle", "--stretch-iterations", "3"], ["tangle", "--extension-a", "2"],
+     ["layout", "--format", "dot"]],
+)
+def test_options_each_command_ignores_are_rejected(tmp_path, capsys, argv):
+    code = cli_main([*argv, "--input", demo_csv(tmp_path), "--window", "6"])
+    assert code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_dot_needs_no_layout(tmp_path, capsys, monkeypatch):
+    def unused(*_args):
+        raise AssertionError("DOT computed a layout")
+
+    monkeypatch.setattr("tangled_string.cli.assign_positions", unused)
+    monkeypatch.setattr("tangled_string.cli.stretch", unused)
+    code = cli_main(["tangle", "--input", demo_csv(tmp_path), "--window", "6", "--format", "dot"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("digraph tangle {")

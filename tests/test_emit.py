@@ -119,7 +119,7 @@ def dot_graph(tokens, window, **layout_kwargs):
     seq = from_plain(tokens)
     result = tangle(seq, TangleParams(window, PLAIN))
     layout = assign_positions(seq, result, LayoutParams(**layout_kwargs))
-    return result, layout, parse_dot(emit_dot(result, layout))
+    return result, layout, parse_dot(emit_dot(result))
 
 
 def test_dot_is_well_formed_and_complete():
@@ -196,8 +196,7 @@ def test_dot_no_edges_for_single_group():
 def test_dot_quoting_survives_strange_tokens():
     tokens = ['he said "hi"', "back\\slash", 'he said "hi"']
     result = tangle(from_plain(tokens), TangleParams(2, PLAIN))
-    layout = assign_positions(result.sequence, result)
-    graph = parse_dot(emit_dot(result, layout))
+    graph = parse_dot(emit_dot(result))
     labels = {node.attrs["label"] for node in graph.nodes.values()}
     assert 'he said "hi" @ 1,3' in labels
     assert "back\\slash @ 2" in labels

@@ -314,9 +314,9 @@ def test_synthetic_boundaries_and_shape():
     seq, boundaries = generate_synthetic(make_spec())
     assert boundaries == [10]
     assert seq.basket_count == 20
-    assert seq.length == 60
+    assert len(seq) == 60
     # Weekly labels, ISO format, strictly increasing.
-    labels = [seq.time_label(b) for b in range(20)]
+    labels = seq.time_labels
     days = [datetime.date.fromisoformat(lbl) for lbl in labels]
     for earlier, later in zip(days, days[1:]):
         assert (later - earlier).days == 7
@@ -325,14 +325,14 @@ def test_synthetic_boundaries_and_shape():
 def test_synthetic_respects_regime_vocabulary():
     seq, boundaries = generate_synthetic(make_spec())
     cut = boundaries[0]
-    for event in seq.events():
-        vocab = ("a1", "a2", "a3", "a4") if event.basket_index < cut else (
+    for token, basket in zip(seq.tokens, seq.basket_membership):
+        vocab = ("a1", "a2", "a3", "a4") if basket < cut else (
             "b1",
             "b2",
             "b3",
             "b4",
         )
-        assert event.token in vocab
+        assert token in vocab
 
 
 def test_synthetic_noise_borrows_foreign_tokens():
@@ -347,7 +347,7 @@ def test_synthetic_noise_borrows_foreign_tokens():
     )
     seq, _ = generate_synthetic(spec)
     first_regime_tokens = {
-        e.token for e in seq.events() if e.basket_index < 30
+        token for token, basket in zip(seq.tokens, seq.basket_membership) if basket < 30
     }
     assert first_regime_tokens & {"b1", "b2"}
 

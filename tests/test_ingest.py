@@ -32,7 +32,7 @@ def test_basic_rows():
 
 def test_dotted_dates_are_normalized():
     seq = baskets_of("2007.7.6,6378,8061\n")
-    assert seq.time_label(0) == "2007-07-06"
+    assert seq.time_labels[0] == "2007-07-06"
 
 
 def test_date_style_iso_rejects_dotted():

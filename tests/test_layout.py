@@ -124,7 +124,7 @@ def test_stretch_keeps_pill_clusters_separated():
     separation = math.hypot(bx - ax, by - ay)
     steps = [
         math.dist(relaxed.positions[i], relaxed.positions[i + 1])
-        for i in range(seq.length - 1)
+        for i in range(len(seq) - 1)
     ]
     assert separation >= sum(steps) / len(steps)
 

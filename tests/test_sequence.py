@@ -6,7 +6,6 @@ from tangled_string import (
     BasketSequence,
     EmptyBasketError,
     EmptySequenceError,
-    Event,
     from_baskets,
     from_plain,
 )
@@ -14,32 +13,30 @@ from tangled_string import (
 
 def test_plain_construction():
     seq = from_plain([1, 2, 3, 2])
-    assert seq.length == 4
+    assert len(seq) == 4
     assert seq.basket_count == 4
-    assert seq.token_at(3) == "2"
-    assert seq.basket_of(3) == 3
-    assert seq.event(3) == Event(index=3, token="2", basket_index=3, time_label=None)
+    assert seq.tokens[3] == "2"
+    assert seq.basket_membership[3] == 3
+    assert seq.time_labels == (None,) * 4
 
 
 def test_basket_construction():
     seq = from_baskets([[6378, 8061], [1907, 6850]])
-    assert seq.length == 4
+    assert len(seq) == 4
     assert seq.basket_count == 2
     assert seq.tokens == ("6378", "8061", "1907", "6850")
     assert seq.basket_membership == (0, 0, 1, 1)
-    assert seq.basket_start(1) == 2
-    assert seq.basket_end(0) == 1
-    assert seq.basket_end(1) == 3
+    assert seq.basket_starts == (0, 2)
 
 
 def test_flatten_and_regroup_round_trip():
     baskets = [["a", "b"], ["c"], ["a", "d", "e"]]
     seq = from_baskets(baskets, time_labels=["t0", "t1", "t2"])
     regrouped: dict[int, list[str]] = {}
-    for event in seq.events():
-        regrouped.setdefault(event.basket_index, []).append(event.token)
+    for token, basket in zip(seq.tokens, seq.basket_membership):
+        regrouped.setdefault(basket, []).append(token)
     assert [regrouped[k] for k in sorted(regrouped)] == baskets
-    assert [tuple(e.token for e in basket) for basket in seq.baskets()] == [
+    assert list(seq.baskets()) == [
         ("a", "b"),
         ("c",),
         ("a", "d", "e"),
@@ -48,9 +45,8 @@ def test_flatten_and_regroup_round_trip():
 
 def test_time_labels_flow_to_events():
     seq = from_baskets([["x"], ["y", "x"]], time_labels=["2007-07-06", "2007-07-13"])
-    assert seq.event(0).time_label == "2007-07-06"
-    assert seq.event(2).time_label == "2007-07-13"
-    assert seq.time_label(1) == "2007-07-13"
+    labels = [seq.time_labels[basket] for basket in seq.basket_membership]
+    assert labels == ["2007-07-06", "2007-07-13", "2007-07-13"]
 
 
 def test_empty_sequence_is_rejected():
