@@ -64,13 +64,20 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be positive and finite")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
     return value
 
 
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("layout", help="segment and embed in the plane (JSON)")
     add_tangle_options(sub)
-    sub.add_argument("--extension-a", type=float, default=1.0, help="extrapolation gain")
+    sub.add_argument("--extension-a", type=_finite_float, default=1.0, help="extrapolation gain")
     sub.add_argument("--stretch-iterations", type=_int_at_least(0), default=0)
     sub.add_argument("--stretch-step", type=_positive_float, default=0.05)
 

@@ -28,6 +28,7 @@ from .tangler import (
     EXIT,
     ChangePoint,
     TangleParams,
+    _reported_before,
     change_points,
     tangle,
 )
@@ -269,27 +270,26 @@ class StabilityRecord:
 def tolerant_delay_check(
     seq: BasketSequence, params: TangleParams, dt_baskets: int
 ) -> list[StabilityRecord]:
-    """Re-run the tangler on truncated data and compare change points.
+    """Compare the full run's change points with those of truncated runs.
 
     For every change point at basket ``t`` of the full run, the sequence
-    is cut after basket ``t + dt_baskets`` and tangled again; the change
-    point is stable if the prefix run reports the same (event, role).
+    is cut after basket ``t + dt_baskets``; the change point is stable if
+    a run on that prefix reports the same (event, role).  The scan is
+    causal, so one full scan plus one scan that pauses at every cut gives
+    the same records as re-tangling each prefix, in O(L + C log L).
     """
     if dt_baskets < 0:
         raise ValueError("dt_baskets must be >= 0")
     full = change_points(tangle(seq, params))
-    prefix_reports: dict[int, set[tuple[int, str]]] = {}
-    records = []
-    for cp in full:
-        keep = min(cp.basket_index + dt_baskets + 1, seq.basket_count)
-        if keep not in prefix_reports:
-            prefix_result = tangle(seq.prefix(keep), params)
-            prefix_reports[keep] = {
-                (p.event_index, p.role) for p in change_points(prefix_result)
-            }
-        stable = (cp.event_index, cp.role) in prefix_reports[keep]
-        records.append(StabilityRecord(change_point=cp, prefix_baskets=keep, stable=stable))
-    return records
+    starts, basket_count = seq.basket_starts, seq.basket_count
+    # change points come in basket order, so the cuts are nondecreasing
+    keeps = [min(cp.basket_index + dt_baskets + 1, basket_count) for cp in full]
+    ends = [starts[keep] if keep < basket_count else len(seq) for keep in keeps]
+    stable = _reported_before(seq, params, full, ends)
+    return [
+        StabilityRecord(change_point=cp, prefix_baskets=keep, stable=flag)
+        for cp, keep, flag in zip(full, keeps, stable)
+    ]
 
 
 # -------------------------------------------------------------- synthetic data
@@ -339,7 +339,12 @@ class SyntheticSpec:
         if self.start_date is not None:
             if not isinstance(self.start_date, str):
                 raise TypeError(f"start_date must be a date string, got {self.start_date!r}")
-            parse_date(self.start_date)
+            weeks = sum(regime.length_baskets for regime in self.regimes) - 1
+            if (datetime.date.max - parse_date(self.start_date)).days < 7 * weeks:
+                raise ValueError(
+                    f"start_date {self.start_date} puts the last of {weeks + 1} weekly"
+                    " baskets past the largest date"
+                )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[BasketSequence, list[int]]:

@@ -33,10 +33,12 @@ class LayoutParams:
     stretch_step: float = 0.05
 
     def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a}")
         if self.stretch_iterations < 0:
             raise ValueError("stretch_iterations must be >= 0")
-        if self.stretch_step <= 0:
-            raise ValueError("stretch_step must be positive")
+        if not (math.isfinite(self.stretch_step) and self.stretch_step > 0):
+            raise ValueError("stretch_step must be positive and finite")
 
 
 @dataclass(frozen=True)

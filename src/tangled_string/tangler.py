@@ -24,6 +24,11 @@ last one.  Both span endpoints carry the pill's span as wire weight.
 The scan keeps one deque of recent occurrence indices per token.  Window
 floors only ever move forward, so stale occurrences are dropped for good
 and the whole run costs O(L) regardless of W.
+
+The scan is causal, and in the basket variant a pill reaches at most to
+the end of its last match's basket.  So paused at a basket boundary, its
+state is exactly that of a run on the events before the boundary; one
+scan pausing at several boundaries answers for every such prefix.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Mapping
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Mapping
 
 from .sequence import BasketSequence, Token
 
@@ -145,11 +150,14 @@ class TangleResult:
         return None
 
 
-def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
-    """Segment ``seq`` into pills and wire under ``params``.
+def _scan(
+    seq: BasketSequence, params: TangleParams, stops: Iterable[int] = ()
+) -> Iterator[tuple[list[tuple], list[Match], dict[int, int]]]:
+    """The scan engine: run the events of ``seq`` in order.
 
-    Deterministic: equal inputs give equal results, with matches resolved
-    to the earliest same-token event inside the window.
+    Pauses before each event index in ``stops`` (nondecreasing) and once
+    at the end, yielding the live state ``(builders, matches,
+    pill_weight)``; it is valid until the generator is resumed.
     """
     tokens = seq.tokens
     length = len(tokens)
@@ -166,42 +174,55 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
     # a merge only ever absorbs the tail of the stack
     builders: list[tuple[int, int, int, int, int]] = []
 
-    for i in range(length):
-        token = tokens[i]
-        recent = occurrences[token]
-        if recent:
-            if plain:
-                floor = i - window
-                while recent and recent[0] < floor:
-                    recent.popleft()
-            else:
-                basket_floor = basket_of[i] - window + 1
-                while recent and basket_of[recent[0]] < basket_floor:
-                    recent.popleft()
-        if recent:
-            j = recent[0]
-            if plain:
-                low, high = j, i
-            else:
-                low = starts[basket_of[j]]
-                k = basket_of[i]
-                high = (starts[k + 1] - 1) if k + 1 < basket_count else length - 1
-            order = len(matches)
-            entrance, ent_order = j, order
-            while builders and builders[-1][1] >= low:
-                first, last, absorbed_entrance, absorbed_order, _ = builders.pop()
-                if first < low:
-                    low = first
-                if last > high:
-                    high = last
-                if absorbed_order < ent_order:
-                    ent_order = absorbed_order
-                    entrance = absorbed_entrance
-            builders.append((low, high, entrance, ent_order, i))
-            pill_weight[j] = pill_weight.get(j, 0) + (i - j)
-            matches.append(Match(j, i))
-        recent.append(i)
+    start = 0
+    for end in (*stops, length):
+        for i in range(start, end):
+            token = tokens[i]
+            recent = occurrences[token]
+            if recent:
+                if plain:
+                    floor = i - window
+                    while recent and recent[0] < floor:
+                        recent.popleft()
+                else:
+                    basket_floor = basket_of[i] - window + 1
+                    while recent and basket_of[recent[0]] < basket_floor:
+                        recent.popleft()
+            if recent:
+                j = recent[0]
+                if plain:
+                    low, high = j, i
+                else:
+                    low = starts[basket_of[j]]
+                    k = basket_of[i]
+                    high = (starts[k + 1] - 1) if k + 1 < basket_count else length - 1
+                order = len(matches)
+                entrance, ent_order = j, order
+                while builders and builders[-1][1] >= low:
+                    first, last, absorbed_entrance, absorbed_order, _ = builders.pop()
+                    if first < low:
+                        low = first
+                    if last > high:
+                        high = last
+                    if absorbed_order < ent_order:
+                        ent_order = absorbed_order
+                        entrance = absorbed_entrance
+                builders.append((low, high, entrance, ent_order, i))
+                pill_weight[j] = pill_weight.get(j, 0) + (i - j)
+                matches.append(Match(j, i))
+            recent.append(i)
+        start = end
+        yield builders, matches, pill_weight
 
+
+def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
+    """Segment ``seq`` into pills and wire under ``params``.
+
+    Deterministic: equal inputs give equal results, with matches resolved
+    to the earliest same-token event inside the window.
+    """
+    builders, matches, pill_weight = next(_scan(seq, params))
+    length = len(seq)
     pills = tuple(
         Pill(first, last, entrance, exit_) for first, last, entrance, _, exit_ in builders
     )
@@ -224,6 +245,22 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
         wire_weight=wire_weight,
         matches=tuple(matches),
     )
+
+
+def _reported_before(
+    seq: BasketSequence, params: TangleParams, points: Iterable[ChangePoint], ends: Iterable[int]
+) -> Iterator[bool]:
+    """Whether a run on the events before ``ends[n]`` reports ``points[n]``.
+
+    Each end is a basket start or ``len(seq)``, and the ends are
+    nondecreasing; one scan pausing at every end answers all of them.  A
+    cut run reports an entrance or exit iff the pill in progress that
+    contains the event has it as that endpoint.
+    """
+    for cp, (builders, _, _) in zip(points, _scan(seq, params, ends)):
+        index = cp.event_index
+        number = bisect_right(builders, index, key=itemgetter(0)) - 1
+        yield number >= 0 and builders[number][2 if cp.role == ENTRANCE else 4] == index
 
 
 def _top_k(weights: Mapping[int, int], k: int) -> list[tuple[int, int]]:

@@ -473,7 +473,8 @@ def test_undecodable_synth_spec_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides",
     [{"start_date": "garbage"}, {"start_date": 5},
-     {"regimes": [{"vocabulary": ["a", ""], "length_baskets": 3}]}],
+     {"regimes": [{"vocabulary": ["a", ""], "length_baskets": 3}]},
+     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 3}], "start_date": "9999-12-24"}],
 )
 def test_synth_bad_spec_values_are_input_errors(tmp_path, capsys, overrides):
     code = cli_main(["synth", "--spec", synth_spec(tmp_path, **overrides)])
@@ -492,7 +493,8 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "option, value", [("--stretch-iterations", "-1"), ("--stretch-step", "0"),
-                      ("--stretch-step", "nan")]
+                      ("--stretch-step", "nan"), ("--extension-a", "nan"),
+                      ("--extension-a", "-inf")]
 )
 def test_stretch_options_are_checked_when_parsed(tmp_path, capsys, option, value):
     code = cli_main(["layout", "--input", demo_csv(tmp_path), "--window", "6", option, value])

@@ -357,6 +357,14 @@ def test_synthetic_requires_regimes():
         generate_synthetic(SyntheticSpec(regimes=()))
 
 
+def test_synthetic_last_basket_must_be_a_valid_date():
+    three = (RegimeSpec(vocabulary=("a",), length_baskets=3),)
+    seq, _ = generate_synthetic(SyntheticSpec(regimes=three, start_date="9999-12-17"))
+    assert seq.time_labels[-1] == "9999-12-31"
+    with pytest.raises(ValueError):
+        SyntheticSpec(regimes=three, start_date="9999-12-18")
+
+
 # ------------------------------------------------------------- detection
 
 

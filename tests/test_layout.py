@@ -140,3 +140,8 @@ def test_layout_params_validation():
         LayoutParams(stretch_iterations=-1)
     with pytest.raises(ValueError):
         LayoutParams(stretch_step=0.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            LayoutParams(a=value)
+        with pytest.raises(ValueError):
+            LayoutParams(stretch_step=value)
