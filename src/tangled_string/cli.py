@@ -117,12 +117,6 @@ def _add_input_options(parser: argparse.ArgumentParser):
         "--delimiter", default=",", choices=[",", "\t"], help="cell delimiter (default comma)"
     )
     parser.add_argument("--header", action="store_true", help="skip the first row")
-    parser.add_argument(
-        "--date-style",
-        default="auto",
-        choices=["auto", "iso", "dotted"],
-        help="accepted date format (default auto)",
-    )
 
 
 def _undecodable(path: str) -> ParseError:
@@ -150,9 +144,7 @@ def _parse_file(path: str, parse, *args):
 
 
 def _read_sequence(args):
-    options = FormatOptions(
-        delimiter=args.delimiter, has_header=args.header, date_style=args.date_style
-    )
+    options = FormatOptions(delimiter=args.delimiter, has_header=args.header)
     return _parse_file(args.input, parse_baskets, options)
 
 
@@ -236,20 +228,27 @@ def _load_synth_spec(path: str, seed_override: int | None) -> SyntheticSpec:
             RegimeSpec(
                 vocabulary=tuple(str(t) for t in regime["vocabulary"]),
                 length_baskets=int(regime["length_baskets"]),
-                repeat_rate=float(regime.get("repeat_rate", 0.6)),
+                **_given(regime, repeat_rate=float),
             )
             for regime in raw["regimes"]
         )
-        spec = SyntheticSpec(
-            regimes=regimes,
-            noise_rate=float(raw.get("noise_rate", 0.0)),
-            seed=int(raw.get("seed", 0)) if seed_override is None else seed_override,
-            basket_size=int(raw.get("basket_size", 5)),
-            start_date=raw.get("start_date", "2000-01-07"),
+        # SyntheticSpec checks start_date itself, and null leaves baskets undated
+        fields = _given(
+            raw, noise_rate=float, seed=int, basket_size=int, start_date=lambda date: date
         )
+        if seed_override is not None:
+            fields["seed"] = seed_override
+        return SyntheticSpec(regimes=regimes, **fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad synthetic spec in {path}: {exc}") from None
-    return spec
+
+
+def _given(raw: dict, **casts) -> dict:
+    """The keys of ``raw`` named in ``casts``, each coerced by its cast.
+
+    Keys the file leaves out keep the dataclass defaults.
+    """
+    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
 
 
 def _cmd_synth(args) -> int:

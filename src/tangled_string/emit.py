@@ -97,12 +97,8 @@ def document_dict(
         "pills": pills,
         "wire_events": [i + 1 for i in result.wire_events],
         "key_events": {
-            "in_pill": [key_event_dict(e) for e in key_pill_events(result, key_events)]
-            if result.pill_weight
-            else [],
-            "on_wire": [key_event_dict(e) for e in key_wire_events(result, key_events)]
-            if result.wire_weight
-            else [],
+            "in_pill": [key_event_dict(e) for e in key_pill_events(result, key_events)],
+            "on_wire": [key_event_dict(e) for e in key_wire_events(result, key_events)],
         },
     }
     if layout is not None:

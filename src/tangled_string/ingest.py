@@ -21,53 +21,40 @@ from .sequence import BasketSequence
 
 logger = logging.getLogger(__name__)
 
-DATE_STYLES = ("auto", "iso", "dotted")
-
 
 @dataclass(frozen=True)
 class FormatOptions:
     """How basket rows are shaped.
 
     ``delimiter`` separates cells (comma or tab); ``has_header`` skips the
-    first row; ``date_style`` is ``iso`` (2007-07-06), ``dotted``
-    (2007.7.6) or ``auto`` to accept either.
+    first row.
     """
 
     delimiter: str = ","
     has_header: bool = False
-    date_style: str = "auto"
-
-    def __post_init__(self):
-        if self.date_style not in DATE_STYLES:
-            raise ValueError(f"date_style must be one of {DATE_STYLES}")
 
 
-def parse_date(text: str, style: str = "auto") -> datetime.date:
-    """Parse an ISO or dotted calendar date; raises ValueError otherwise."""
+def parse_date(text: str) -> datetime.date:
+    """Parse an ISO (2007-07-06) or dotted (2007.7.6) date; raises ValueError otherwise."""
     cleaned = text.strip()
-    if style in ("auto", "iso"):
-        try:
-            return datetime.date.fromisoformat(cleaned)
-        except ValueError:
-            if style == "iso":
-                raise
-    if style in ("auto", "dotted"):
-        parts = cleaned.split(".")
-        if len(parts) == 3 and all(p.isdigit() for p in parts):
-            return datetime.date(int(parts[0]), int(parts[1]), int(parts[2]))
+    try:
+        return datetime.date.fromisoformat(cleaned)
+    except ValueError:
+        pass
+    parts = cleaned.split(".")
+    if len(parts) == 3 and all(p.isdigit() for p in parts):
+        return datetime.date(int(parts[0]), int(parts[1]), int(parts[2]))
     raise ValueError(f"unparseable date {text!r}")
 
 
 def _rows(reader) -> Iterable[tuple[int, list[str]]]:
-    # surface csv-level failures (e.g. NUL bytes) as ParseError, not a crash
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num + 1) from None
-        yield reader.line_num, row
+    # surface csv-level failures (an oversized field; a NUL byte before
+    # Python 3.11) as ParseError, not a crash
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def parse_baskets(
@@ -75,15 +62,15 @@ def parse_baskets(
 ) -> BasketSequence:
     """Read ``date, item, item, ...`` rows into a dated BasketSequence.
 
-    Baskets keep file order.  Duplicate dates are kept (with a warning);
-    an undated row of items or a dated row with no items is an error.
+    Rows must be in date order.  A date equal to the previous row's is
+    kept (with a warning); an earlier date, an undated row of items or a
+    dated row with no items is an error.
     """
     if options is None:
         options = FormatOptions()
     reader = csv.reader(lines, delimiter=options.delimiter)
     baskets: list[list[str]] = []
     labels: list[str] = []
-    seen_dates: set[str] = set()
     skip_header = options.has_header
     for line, row in _rows(reader):
         cells = [cell.strip() for cell in row]
@@ -94,7 +81,7 @@ def parse_baskets(
             skip_header = False
             continue
         try:
-            day = parse_date(cells[0], options.date_style)
+            day = parse_date(cells[0])
         except ValueError as exc:
             raise ParseError(str(exc), line=line) from None
         items = cells[1:]
@@ -105,9 +92,11 @@ def parse_baskets(
                 line=line,
             )
         label = day.isoformat()
-        if label in seen_dates:
+        # ISO labels sort in date order
+        if labels and label <= labels[-1]:
+            if label < labels[-1]:
+                raise ParseError(f"basket date {label} is before {labels[-1]}", line=line)
             logger.warning("duplicate basket date %s on line %d; keeping both", label, line)
-        seen_dates.add(label)
         baskets.append(items)
         labels.append(label)
     return BasketSequence(baskets, labels)
@@ -167,7 +156,6 @@ def parse_prices(lines: Iterable[str], delimiter: str = ",") -> PriceSeries:
     """
     reader = csv.reader(lines, delimiter=delimiter)
     observations: dict[str, list[tuple[datetime.date, float]]] = {}
-    last_date: dict[str, datetime.date] = {}
     for line, row in _rows(reader):
         cells = [cell.strip() for cell in row]
         if not any(cells):
@@ -187,12 +175,11 @@ def parse_prices(lines: Iterable[str], delimiter: str = ",") -> PriceSeries:
             raise ParseError(f"unparseable price {cells[2]!r}", line=line) from None
         if not math.isfinite(price) or price <= 0:
             raise ParseError(f"price must be positive and finite, got {cells[2]}", line=line)
-        previous = last_date.get(symbol)
-        if previous is not None and day <= previous:
+        series = observations.setdefault(symbol, [])
+        if series and day <= series[-1][0]:
             raise ParseError(
-                f"dates for {symbol} must be strictly increasing ({day} after {previous})",
+                f"dates for {symbol} must be strictly increasing ({day} after {series[-1][0]})",
                 line=line,
             )
-        last_date[symbol] = day
-        observations.setdefault(symbol, []).append((day, price))
+        series.append((day, price))
     return PriceSeries(observations)

@@ -38,14 +38,16 @@ class BasketSequence:
         basket_of: list[int] = []
         basket_starts: list[int] = []
         for ordinal, basket in enumerate(baskets):
-            items = [self._check_token(t, ordinal) for t in basket]
-            if not items:
+            start = len(tokens)
+            tokens.extend(map(str, basket))
+            if len(tokens) == start:
                 raise EmptyBasketError(f"basket {ordinal} has no items", basket=ordinal)
-            basket_starts.append(len(tokens))
-            tokens.extend(items)
-            basket_of.extend([ordinal] * len(items))
+            basket_starts.append(start)
+            basket_of.extend([ordinal] * (len(tokens) - start))
         if not tokens:
             raise EmptySequenceError("sequence has no events")
+        if "" in tokens:
+            raise ValueError(f"empty token in basket {basket_of[tokens.index('')]}")
         labels: tuple[str | None, ...]
         if time_labels is None:
             labels = (None,) * len(basket_starts)
@@ -59,13 +61,6 @@ class BasketSequence:
         self._basket_of = tuple(basket_of)
         self._basket_starts = tuple(basket_starts)
         self._time_labels = labels
-
-    @staticmethod
-    def _check_token(token: object, ordinal: int) -> Token:
-        text = token if isinstance(token, str) else str(token)
-        if not text:
-            raise ValueError(f"empty token in basket {ordinal}")
-        return text
 
     # -- sizes ---------------------------------------------------------------
 
@@ -127,10 +122,7 @@ class BasketSequence:
 
 def from_plain(tokens: Iterable[Token]) -> BasketSequence:
     """Build a sequence with one single-item basket per token."""
-    items = list(tokens)
-    if not items:
-        raise EmptySequenceError("sequence has no events")
-    return BasketSequence([[t] for t in items])
+    return BasketSequence([t] for t in tokens)
 
 
 def from_baskets(

@@ -298,11 +298,11 @@ def change_points(result: TangleResult) -> list[ChangePoint]:
     seq = result.sequence
     tokens, basket_of, labels = seq.tokens, seq.basket_membership, seq.time_labels
     records = []
+    # pills are disjoint and ordered, each entrance before its exit: no sort needed
     for pill in result.pills:
         for index, role in ((pill.entrance_event, ENTRANCE), (pill.exit_event, EXIT)):
             basket = basket_of[index]
             records.append(ChangePoint(index, tokens[index], role, basket, labels[basket]))
-    records.sort(key=lambda cp: (cp.basket_index, cp.event_index))
     return records
 
 

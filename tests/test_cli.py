@@ -1,12 +1,15 @@
 """End-to-end command line tests against temp files."""
 
+import csv
 import datetime
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from tangled_string import RegimeSpec, SyntheticSpec, generate_synthetic
 from tangled_string.cli import cli_main
 
 from dot_checker import parse_dot
@@ -171,6 +174,14 @@ def test_bad_date_is_input_error(tmp_path, capsys):
 def test_itemless_basket_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("2020-01-03,X\n2020-01-10\n", encoding="utf-8")
+    code = cli_main(["tangle", "--input", str(path), "--window", "2"])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_backwards_basket_date_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("2020-01-10,X\n2020-01-03,Y\n", encoding="utf-8")
     code = cli_main(["tangle", "--input", str(path), "--window", "2"])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
@@ -342,6 +353,26 @@ def test_synth_deterministic_output(tmp_path):
     assert json.loads(bounds.read_text(encoding="utf-8")) == {"boundaries": [10]}
 
 
+def test_synth_spec_leaves_defaults_to_the_dataclasses(tmp_path):
+    regimes = [{"vocabulary": ["a", "b", "c"], "length_baskets": 4},
+               {"vocabulary": ["x", "y"], "length_baskets": 3}]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"regimes": regimes}), encoding="utf-8")
+    out = tmp_path / "synth.csv"
+    assert cli_main(["synth", "--spec", str(path), "--out", str(out)]) == 0
+
+    spec = SyntheticSpec(regimes=tuple(
+        RegimeSpec(vocabulary=tuple(r["vocabulary"]), length_baskets=r["length_baskets"])
+        for r in regimes
+    ))
+    seq, _ = generate_synthetic(spec)
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(
+        [label, *basket] for label, basket in zip(seq.time_labels, seq.baskets())
+    )
+    assert out.read_bytes() == buffer.getvalue().encode("utf-8")
+
+
 def test_synth_seed_override(tmp_path):
     spec = synth_spec(tmp_path)
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -505,7 +536,7 @@ def test_stretch_options_are_checked_when_parsed(tmp_path, capsys, option, value
 @pytest.mark.parametrize(
     "argv",
     [["tangle", "--stretch-iterations", "3"], ["tangle", "--extension-a", "2"],
-     ["layout", "--format", "dot"]],
+     ["layout", "--format", "dot"], ["tangle", "--date-style", "iso"]],
 )
 def test_options_each_command_ignores_are_rejected(tmp_path, capsys, argv):
     code = cli_main([*argv, "--input", demo_csv(tmp_path), "--window", "6"])

@@ -1,5 +1,6 @@
 """CSV ingestion: permissive about noise, strict about substance."""
 
+import csv
 import datetime
 import io
 import logging
@@ -33,18 +34,6 @@ def test_basic_rows():
 def test_dotted_dates_are_normalized():
     seq = baskets_of("2007.7.6,6378,8061\n")
     assert seq.time_labels[0] == "2007-07-06"
-
-
-def test_date_style_iso_rejects_dotted():
-    with pytest.raises(ParseError) as err:
-        baskets_of("2007.7.6,A\n", date_style="iso")
-    assert err.value.line == 1
-    assert "line 1" in str(err.value)
-
-
-def test_date_style_dotted_rejects_iso():
-    with pytest.raises(ParseError):
-        baskets_of("2007-07-06,A\n", date_style="dotted")
 
 
 def test_tab_delimiter():
@@ -82,6 +71,13 @@ def test_duplicate_dates_warn_but_are_kept(caplog):
     assert any("duplicate" in message for message in caplog.messages)
 
 
+def test_basket_dates_must_not_go_backwards():
+    with pytest.raises(ParseError) as err:
+        baskets_of("2007-07-06,A\n2007-07-13,B\n2007.7.7,C\n")
+    assert err.value.line == 3
+    assert "2007-07-07 is before 2007-07-13" in str(err.value)
+
+
 def test_empty_input_is_an_empty_sequence():
     with pytest.raises(EmptySequenceError):
         baskets_of("")
@@ -93,6 +89,26 @@ def test_arbitrary_bytes_become_parse_errors():
         baskets_of(junk)
     with pytest.raises(ParseError):
         parse_prices(io.StringIO(junk))
+
+
+def test_nul_byte_reports_its_line():
+    with pytest.raises(ParseError) as err:
+        baskets_of("2007-07-06,A\n2007-07-\x0013,B\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        parse_prices(io.StringIO("2007-07-06,ACME,10\n2007-07-13,ACME,1\x001\n"))
+    assert err.value.line == 2
+
+
+def test_csv_error_reports_its_line():
+    limit = csv.field_size_limit(16)
+    try:
+        for parse in (baskets_of, prices_of):
+            with pytest.raises(ParseError, match="field larger") as err:
+                parse("2007-07-06,A,1\n2007-07-13,A," + "9" * 20 + "\n2007-07-20,A,1\n")
+            assert err.value.line == 2
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_parse_date_accepts_both_styles():
@@ -148,6 +164,13 @@ def test_prices_must_be_strictly_increasing_per_symbol():
         prices_of("2007-07-06,ACME,10\n2007-07-06,ACME,10\n")
     # independent symbols do not interfere
     prices_of("2007-07-13,ACME,10\n2007-07-06,ZORG,11\n")
+
+
+@pytest.mark.parametrize("day", ["2007-07-13", "2007-07-06"])
+def test_repeated_or_earlier_price_date_reports_its_line(day):
+    with pytest.raises(ParseError, match="strictly increasing") as err:
+        prices_of(f"2007-07-13,ACME,10\n2007-07-20,ZORG,3\n{day},ACME,11\n")
+    assert err.value.line == 3
 
 
 def test_prices_between_window_edges():

@@ -67,6 +67,17 @@ def test_empty_token_is_rejected():
         from_plain(["a", ""])
 
 
+def test_empty_token_error_names_its_basket():
+    with pytest.raises(ValueError, match="empty token in basket 1"):
+        from_baskets([["a"], ["b", ""]])
+
+
+def test_plain_accepts_a_generator_of_any_tokens():
+    seq = from_plain(t for t in [1, "b", 2.5])
+    assert seq.tokens == ("1", "b", "2.5")
+    assert seq.basket_starts == (0, 1, 2)
+
+
 def test_time_label_count_must_match():
     with pytest.raises(ValueError):
         from_baskets([["a"]], time_labels=["t0", "t1"])

@@ -16,6 +16,7 @@ from tangled_string import (
     tangle,
 )
 from naive_reference import naive_tangle
+from seqgen import random_case
 
 # 14-token demo string with two recurrence clusters separated by fresh tokens.
 DEMO = ["1", "2", "3", "2", "3", "4", "3", "4", "5", "6", "2", "5", "6", "7"]
@@ -147,6 +148,15 @@ def test_change_points_window_7():
         (1, ENTRANCE),
         (12, EXIT),
     ]
+
+
+@pytest.mark.parametrize("variant", ["plain", "basket"])
+def test_change_points_come_in_basket_then_event_order(variant):
+    for seed in range(100):
+        seq, params = random_case(seed)
+        records = change_points(tangle(seq, TangleParams(params.window_w, variant)))
+        keys = [(cp.basket_index, cp.event_index) for cp in records]
+        assert keys == sorted(keys), (seed, params.window_w, variant)
 
 
 def test_sweep_pill_counts():
