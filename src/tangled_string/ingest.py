@@ -12,6 +12,7 @@ import csv
 import datetime
 import logging
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -20,6 +21,12 @@ from .errors import EmptyBasketError, ParseError
 from .sequence import BasketSequence
 
 logger = logging.getLogger(__name__)
+
+# the message Python 3.10's csv module gives; from 3.11 csv lets NUL through
+_NUL = "line contains NUL"
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_DOTTED_DATE = re.compile(r"([0-9]+)\.([0-9]+)\.([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -35,26 +42,24 @@ class FormatOptions:
 
 
 def parse_date(text: str) -> datetime.date:
-    """Parse an ISO (2007-07-06) or dotted (2007.7.6) date; raises ValueError otherwise."""
+    """Parse ``YYYY-MM-DD`` (2007-07-06) or ``Y.M.D`` (2007.7.6) in ASCII
+    digits, ignoring surrounding whitespace; raises ValueError otherwise.
+
+    The grammar is checked here, not left to ``date.fromisoformat``, which
+    reads more forms on Python >= 3.11 (``20070706``, ``2007-W27-5``).
+    """
     cleaned = text.strip()
-    try:
-        return datetime.date.fromisoformat(cleaned)
-    except ValueError:
-        pass
-    parts = cleaned.split(".")
-    if len(parts) == 3 and all(p.isdigit() for p in parts):
-        return datetime.date(int(parts[0]), int(parts[1]), int(parts[2]))
+    if _ISO_DATE.fullmatch(cleaned):
+        try:
+            return datetime.date.fromisoformat(cleaned)
+        except ValueError:
+            pass
+    elif dotted := _DOTTED_DATE.fullmatch(cleaned):
+        try:
+            return datetime.date(*map(int, dotted.groups()))
+        except OverflowError:
+            pass
     raise ValueError(f"unparseable date {text!r}")
-
-
-def _rows(reader) -> Iterable[tuple[int, list[str]]]:
-    # surface csv-level failures (an oversized field; a NUL byte before
-    # Python 3.11) as ParseError, not a crash
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def parse_baskets(
@@ -72,33 +77,41 @@ def parse_baskets(
     baskets: list[list[str]] = []
     labels: list[str] = []
     skip_header = options.has_header
-    for line, row in _rows(reader):
-        cells = [cell.strip() for cell in row]
-        cells = [cell for cell in cells if cell]
-        if not cells:
-            continue
-        if skip_header:
-            skip_header = False
-            continue
-        try:
-            day = parse_date(cells[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line) from None
-        items = cells[1:]
-        if not items:
-            raise EmptyBasketError(
-                f"line {line}: basket dated {day.isoformat()} has no items",
-                basket=len(baskets),
-                line=line,
-            )
-        label = day.isoformat()
-        # ISO labels sort in date order
-        if labels and label <= labels[-1]:
-            if label < labels[-1]:
-                raise ParseError(f"basket date {label} is before {labels[-1]}", line=line)
-            logger.warning("duplicate basket date %s on line %d; keeping both", label, line)
-        baskets.append(items)
-        labels.append(label)
+    # csv-level failures (an oversized field; a NUL byte before Python
+    # 3.11) are a ParseError at the line the reader has reached
+    try:
+        for row in reader:
+            line = reader.line_num
+            cells = [cell.strip() for cell in row]
+            cells = [cell for cell in cells if cell]
+            if not cells:
+                continue
+            if "\0" in "".join(cells):
+                raise ParseError(_NUL, line=line)
+            if skip_header:
+                skip_header = False
+                continue
+            try:
+                day = parse_date(cells[0])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line) from None
+            items = cells[1:]
+            if not items:
+                raise EmptyBasketError(
+                    f"line {line}: basket dated {day.isoformat()} has no items",
+                    basket=len(baskets),
+                    line=line,
+                )
+            label = day.isoformat()
+            # ISO labels sort in date order
+            if labels and label <= labels[-1]:
+                if label < labels[-1]:
+                    raise ParseError(f"basket date {label} is before {labels[-1]}", line=line)
+                logger.warning("duplicate basket date %s on line %d; keeping both", label, line)
+            baskets.append(items)
+            labels.append(label)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     return BasketSequence(baskets, labels)
 
 
@@ -122,6 +135,15 @@ class PriceSeries:
                     raise ValueError(f"duplicate date {prev} for symbol {symbol}")
             self._dates[symbol] = dates
             self._values[symbol] = [float(v) for _, v in ordered]
+
+    @classmethod
+    def _from_columns(
+        cls, dates: dict[str, list[datetime.date]], values: dict[str, list[float]]
+    ) -> PriceSeries:
+        """Adopt per-symbol columns whose dates already strictly increase."""
+        series = cls.__new__(cls)
+        series._dates, series._values = dates, values
+        return series
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -151,35 +173,61 @@ class PriceSeries:
 def parse_prices(lines: Iterable[str], delimiter: str = ",") -> PriceSeries:
     """Read ``date, symbol, price`` rows into a PriceSeries.
 
-    Dates must be strictly increasing within each symbol; prices must be
-    positive and finite.
+    Rows may come in any symbol order, but dates must be strictly
+    increasing within each symbol; prices must be positive and finite.
     """
     reader = csv.reader(lines, delimiter=delimiter)
-    observations: dict[str, list[tuple[datetime.date, float]]] = {}
-    for line, row in _rows(reader):
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
-            continue
-        if len(cells) != 3:
-            raise ParseError(f"expected date, symbol, price; got {len(cells)} cells", line=line)
-        try:
-            day = parse_date(cells[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line) from None
-        symbol = cells[1]
-        if not symbol:
-            raise ParseError("empty symbol", line=line)
-        try:
-            price = float(cells[2])
-        except ValueError:
-            raise ParseError(f"unparseable price {cells[2]!r}", line=line) from None
-        if not math.isfinite(price) or price <= 0:
-            raise ParseError(f"price must be positive and finite, got {cells[2]}", line=line)
-        series = observations.setdefault(symbol, [])
-        if series and day <= series[-1][0]:
-            raise ParseError(
-                f"dates for {symbol} must be strictly increasing ({day} after {series[-1][0]})",
-                line=line,
-            )
-        series.append((day, price))
-    return PriceSeries(observations)
+    # a file repeats each date once per symbol: parse every distinct cell once
+    days: dict[str, datetime.date] = {}
+    dates_of: dict[str, list[datetime.date]] = {}
+    values_of: dict[str, list[float]] = {}
+    try:
+        for row in reader:
+            if len(row) != 3:
+                cells = [cell.strip() for cell in row]
+                if not any(cells):
+                    continue
+                raise ParseError(
+                    f"expected date, symbol, price; got {len(cells)} cells", line=reader.line_num
+                )
+            date_cell, symbol, price_cell = row
+            day = days.get(date_cell)
+            if day is None:
+                # a cached date cell is not blank, so only a miss can be a blank row
+                if not (date_cell.strip() or symbol.strip() or price_cell.strip()):
+                    continue
+                try:
+                    day = days[date_cell] = parse_date(date_cell.strip())
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=reader.line_num) from None
+            symbol = symbol.strip()
+            dates = dates_of.get(symbol)
+            if dates is None:
+                if not symbol:
+                    raise ParseError("empty symbol", line=reader.line_num)
+                if "\0" in symbol:
+                    raise ParseError(_NUL, line=reader.line_num)
+                dates = dates_of[symbol] = []
+                values_of[symbol] = []
+            # float() ignores the whitespace that strip() removes
+            try:
+                price = float(price_cell)
+            except ValueError:
+                raise ParseError(
+                    f"unparseable price {price_cell.strip()!r}", line=reader.line_num
+                ) from None
+            if not 0 < price < math.inf:
+                raise ParseError(
+                    f"price must be positive and finite, got {price_cell.strip()}",
+                    line=reader.line_num,
+                )
+            if dates and day <= dates[-1]:
+                raise ParseError(
+                    f"dates for {symbol} must be strictly increasing ({day} after {dates[-1]})",
+                    line=reader.line_num,
+                )
+            dates.append(day)
+            values_of[symbol].append(price)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    return PriceSeries._from_columns(dates_of, values_of)

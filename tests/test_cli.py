@@ -187,6 +187,15 @@ def test_backwards_basket_date_is_input_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("day", ["20070706", "2007-W27-5", "２００７.7.6"])
+def test_date_outside_the_grammar_is_input_error(tmp_path, capsys, day):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"2007-06-29,X\n{day},Y\n", encoding="utf-8")
+    code = cli_main(["tangle", "--input", str(path), "--window", "2"])
+    assert code == 2
+    assert "line 2: unparseable date" in capsys.readouterr().err
+
+
 def test_missing_input_file(tmp_path, capsys):
     code = cli_main(
         ["tangle", "--input", str(tmp_path / "nope.csv"), "--window", "2"]

@@ -13,6 +13,7 @@ from tangled_string import (
     FormatOptions,
     ParseError,
     PriceSeries,
+    ingest,
     parse_baskets,
     parse_date,
     parse_prices,
@@ -98,6 +99,13 @@ def test_nul_byte_reports_its_line():
     with pytest.raises(ParseError) as err:
         parse_prices(io.StringIO("2007-07-06,ACME,10\n2007-07-13,ACME,1\x001\n"))
     assert err.value.line == 2
+    # in an item or a symbol too, although csv rejects NUL only before Python 3.11
+    with pytest.raises(ParseError, match="NUL") as err:
+        baskets_of("2007-07-06,A\n2007-07-13,B, A\x00B \n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="NUL") as err:
+        parse_prices(io.StringIO("2007-07-06,A,1.0\n2007-07-13,A\x00B,1.0\n"))
+    assert err.value.line == 2
 
 
 def test_csv_error_reports_its_line():
@@ -116,6 +124,55 @@ def test_parse_date_accepts_both_styles():
     assert parse_date(" 2007.7.6 ") == datetime.date(2007, 7, 6)
     with pytest.raises(ValueError):
         parse_date("07/06/2007")
+
+
+ACCEPTED_DATES = {
+    "2007-07-06": datetime.date(2007, 7, 6),
+    " 2007-07-06\t": datetime.date(2007, 7, 6),
+    "2007.7.6": datetime.date(2007, 7, 6),
+    "2007.07.06": datetime.date(2007, 7, 6),
+    "\xa02007.7.6\u3000": datetime.date(2007, 7, 6),
+    "0001-01-01": datetime.date(1, 1, 1),
+    "9999.12.31": datetime.date(9999, 12, 31),
+}
+
+REJECTED_DATES = [
+    # basic and week forms that date.fromisoformat reads from Python 3.11
+    "20070706",
+    "2007-W27-5",
+    "2007W275",
+    "2007-W27",
+    # non-ASCII digits
+    "２００７.7.6",
+    "2007.７.6",
+    "٢٠٠٧.7.6",
+    "２００７-07-06",
+    # neither form
+    "",
+    "2007-7-6",
+    "2007/07/06",
+    "07/06/2007",
+    "2007.7",
+    "2007.7.6.1",
+    "+2007.7.6",
+    "2007-07-06T00:00",
+    # the form, but no such day
+    "2007-02-30",
+    "2007.2.30",
+    "0.1.1",
+    "99999999999999999999.1.1",
+]
+
+
+@pytest.mark.parametrize("text", sorted(ACCEPTED_DATES))
+def test_parse_date_reads_iso_and_dotted_ascii_dates(text):
+    assert parse_date(text) == ACCEPTED_DATES[text]
+
+
+@pytest.mark.parametrize("text", REJECTED_DATES)
+def test_parse_date_rejects_every_other_form(text):
+    with pytest.raises(ValueError):
+        parse_date(text)
 
 
 # ---------------------------------------------------------------------- prices
@@ -195,3 +252,31 @@ def test_price_series_sorts_programmatic_input():
         {"S": [(datetime.date(2020, 1, 2), 2.0), (datetime.date(2020, 1, 1), 1.0)]}
     )
     assert [v for _, v in series.observations("S")] == [1.0, 2.0]
+
+
+def test_each_distinct_date_cell_is_parsed_once_and_never_resorted(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_date(text)
+
+    def resort(self, observations):
+        raise AssertionError("parse_prices went through the sorting constructor")
+
+    monkeypatch.setattr(ingest, "parse_date", counted)
+    monkeypatch.setattr(PriceSeries, "__init__", resort)
+    # the A and B symbols write the same two days as four distinct cells
+    cells = {"A": ["2007-07-06", "2007-07-13"], "B": [" 2007-07-06", "2007.7.13"]}
+    text = "".join(
+        f"{cells[symbol[0]][k]},{symbol},{k + 1}\n"
+        for k in range(2)
+        for symbol in ("A1", "B1", "A2", "B2", "A3", "B3")
+    )
+    series = prices_of(text)
+    assert sorted(calls) == sorted(cell.strip() for pair in cells.values() for cell in pair)
+    assert series.symbols == ("A1", "A2", "A3", "B1", "B2", "B3")
+    assert series.observations("B2") == (
+        (datetime.date(2007, 7, 6), 1.0),
+        (datetime.date(2007, 7, 13), 2.0),
+    )
