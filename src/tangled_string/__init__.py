@@ -31,7 +31,7 @@ from .evaluator import (
     score_detection,
     tolerant_delay_check,
 )
-from .ingest import FormatOptions, PriceSeries, parse_baskets, parse_date, parse_prices
+from .ingest import PriceSeries, parse_baskets, parse_date, parse_prices
 from .layout import LayoutParams, LayoutResult, assign_positions, stretch
 from .sequence import BasketSequence, Token, from_baskets, from_plain
 from .tangler import (
@@ -72,7 +72,6 @@ __all__ = [
     "EmptyEvaluationError",
     "EmptySequenceError",
     "EvalParams",
-    "FormatOptions",
     "IN_PILL",
     "KeyEvent",
     "LayoutParams",

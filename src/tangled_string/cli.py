@@ -30,7 +30,7 @@ from .evaluator import (
     coincidence_table,
     generate_synthetic,
 )
-from .ingest import FormatOptions, parse_baskets, parse_prices
+from .ingest import parse_baskets, parse_prices
 from .layout import LayoutParams, assign_positions, stretch
 from .tangler import BASKET, PLAIN, TangleParams, sweep, tangle
 
@@ -106,8 +106,8 @@ def _delta_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("deltas must all be positive")
+    if not values or not all(0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError("deltas must all be positive and finite")
     return values
 
 
@@ -144,8 +144,7 @@ def _parse_file(path: str, parse, *args):
 
 
 def _read_sequence(args):
-    options = FormatOptions(delimiter=args.delimiter, has_header=args.header)
-    return _parse_file(args.input, parse_baskets, options)
+    return _parse_file(args.input, parse_baskets, args.delimiter, args.header)
 
 
 def _write_text(path: str | None, text: str):
@@ -155,12 +154,21 @@ def _write_text(path: str | None, text: str):
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _checked(option: str, step, *args):
+    """``step(*args)``, with its ValueError reported as a bad ``option``."""
+    try:
+        return step(*args)
+    except ValueError as exc:
+        raise _UsageError(f"{option}: {exc}") from None
+
+
 def _cmd_tangle(args) -> int:
     """``tangle`` renders JSON or DOT; ``layout`` adds coordinates to the JSON."""
     result = tangle(_read_sequence(args), TangleParams(args.window, args.variant))
     if args.command == "layout":
         params = LayoutParams(args.extension_a, args.stretch_iterations, args.stretch_step)
-        layout = stretch(assign_positions(result.sequence, result, params), params)
+        layout = _checked("--extension-a", assign_positions, result.sequence, result, params)
+        layout = _checked("--stretch-step", stretch, layout, params)
         text = emit_json(result, layout, key_events=args.key_events)
     elif args.format == "dot":
         text = emit_dot(result)
@@ -323,11 +331,10 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        return args.handler(args)
     except (ParseError, EmptyBasketError, EmptySequenceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return PARSE_EXIT

@@ -129,7 +129,8 @@ def emit_json(
     Self-contained: the document carries every event, so re-rendering
     needs no access to the original input file.
     """
-    return json.dumps(document_dict(result, layout, key_events), sort_keys=True, indent=2) + "\n"
+    doc = document_dict(result, layout, key_events)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _quote(text: str) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import logging
+import math
 import random
 from dataclasses import dataclass
 from statistics import fmean, stdev
@@ -30,6 +31,7 @@ from .tangler import (
     TangleParams,
     _reported_before,
     change_points,
+    sweep,
     tangle,
 )
 
@@ -39,6 +41,8 @@ WEEKS_PER_MONTH = 4.33
 
 COMPARE_MEAN = "mean"
 COMPARE_ENDPOINT = "endpoint"
+
+_CALENDAR_DAYS = (datetime.date.max - datetime.date.min).days
 
 
 def months_to_days(months: float) -> int:
@@ -67,8 +71,8 @@ class EvalParams:
             raise ValueError("windows must all be >= 1")
         if not self.deltas_months:
             raise ValueError("deltas_months must be non-empty")
-        if any(d <= 0 for d in self.deltas_months):
-            raise ValueError("deltas_months must all be positive")
+        if not all(0 < d < math.inf for d in self.deltas_months):
+            raise ValueError("deltas_months must all be positive and finite")
         if self.comparison not in (COMPARE_MEAN, COMPARE_ENDPOINT):
             raise ValueError(f"comparison must be '{COMPARE_MEAN}' or '{COMPARE_ENDPOINT}'")
 
@@ -177,8 +181,7 @@ def _pooled_pairs(seq: BasketSequence, params: EvalParams) -> dict[str, list[tup
     """Change points pooled over all windows, deduplicated per role on
     (token, date) so one stock entering at one time is counted once."""
     pooled: dict[str, dict[tuple[Token, str], None]] = {ENTRANCE: {}, EXIT: {}}
-    for window in params.windows:
-        result = tangle(seq, TangleParams(window, BASKET))
+    for result in sweep(seq, params.windows, BASKET).values():
         for cp in change_points(result):
             if cp.time_label is None:
                 raise ValueError("coincidence evaluation needs dated baskets")
@@ -215,15 +218,19 @@ def coincidence_table(
                 continue
             role_pairs.append((token, parse_date(label)))
         for delta in params.deltas_months:
-            horizon = datetime.timedelta(days=months_to_days(delta))
+            # a window that would leave the calendar ends at its edge: no
+            # date lies beyond it, so the window holds the same prices
+            horizon = datetime.timedelta(days=min(months_to_days(delta), _CALENDAR_DAYS))
             evaluated = decrease = increase = gt_sigma = flat = 0
             dropped = missing
             for token, day in role_pairs:
+                start = day - min(horizon, day - datetime.date.min)
+                stop = day + min(horizon, datetime.date.max - day)
                 before = prices.prices_between(
-                    token, day - horizon, day, include_start=True, include_end=False
+                    token, start, day, include_start=True, include_end=False
                 )
                 after = prices.prices_between(
-                    token, day, day + horizon, include_start=False, include_end=True
+                    token, day, stop, include_start=False, include_end=True
                 )
                 if not before or not after:
                     dropped += 1
@@ -281,10 +288,10 @@ def tolerant_delay_check(
     if dt_baskets < 0:
         raise ValueError("dt_baskets must be >= 0")
     full = change_points(tangle(seq, params))
-    starts, basket_count = seq.basket_starts, seq.basket_count
+    bounds = (*seq.basket_starts, len(seq))
     # change points come in basket order, so the cuts are nondecreasing
-    keeps = [min(cp.basket_index + dt_baskets + 1, basket_count) for cp in full]
-    ends = [starts[keep] if keep < basket_count else len(seq) for keep in keeps]
+    keeps = [min(cp.basket_index + dt_baskets + 1, seq.basket_count) for cp in full]
+    ends = [bounds[keep] for keep in keeps]
     stable = _reported_before(seq, params, full, ends)
     return [
         StabilityRecord(change_point=cp, prefix_baskets=keep, stable=flag)

@@ -14,7 +14,6 @@ import logging
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EmptyBasketError, ParseError
@@ -27,18 +26,6 @@ _NUL = "line contains NUL"
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _DOTTED_DATE = re.compile(r"([0-9]+)\.([0-9]+)\.([0-9]+)")
-
-
-@dataclass(frozen=True)
-class FormatOptions:
-    """How basket rows are shaped.
-
-    ``delimiter`` separates cells (comma or tab); ``has_header`` skips the
-    first row.
-    """
-
-    delimiter: str = ","
-    has_header: bool = False
 
 
 def parse_date(text: str) -> datetime.date:
@@ -63,20 +50,19 @@ def parse_date(text: str) -> datetime.date:
 
 
 def parse_baskets(
-    lines: Iterable[str], options: FormatOptions | None = None
+    lines: Iterable[str], delimiter: str = ",", has_header: bool = False
 ) -> BasketSequence:
     """Read ``date, item, item, ...`` rows into a dated BasketSequence.
 
+    ``delimiter`` separates cells; ``has_header`` skips the first row.
     Rows must be in date order.  A date equal to the previous row's is
     kept (with a warning); an earlier date, an undated row of items or a
     dated row with no items is an error.
     """
-    if options is None:
-        options = FormatOptions()
-    reader = csv.reader(lines, delimiter=options.delimiter)
+    reader = csv.reader(lines, delimiter=delimiter)
     baskets: list[list[str]] = []
     labels: list[str] = []
-    skip_header = options.has_header
+    skip_header = has_header
     # csv-level failures (an oversized field; a NUL byte before Python
     # 3.11) are a ParseError at the line the reader has reached
     try:

@@ -100,6 +100,8 @@ def assign_positions(
     ``params.a``.  When the two previous events coincide, the string is
     extended by a unit step rotated 15 degrees from the last direction
     it actually moved in, so repeated knots fan out instead of piling up.
+    With ``|a| > 1`` the steps grow geometrically; a ValueError naming
+    ``a`` is raised at the first coordinate that is no longer finite.
     """
     if params is None:
         params = LayoutParams()
@@ -127,6 +129,8 @@ def assign_positions(
                 pos = (px + dirx, py + diry)
             else:
                 pos = (px + params.a * dx, py + params.a * dy)
+                if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
+                    raise ValueError(f"a={params.a} puts event {i} at a non-finite position")
         positions.append(pos)
         if i >= 1:
             sx, sy = positions[i - 1]
@@ -146,6 +150,8 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
     inverse-square push, and the groups holding the global first and last
     events stay pinned.  Runs ``params.stretch_iterations`` deterministic
     steps of size ``params.stretch_step``; zero iterations is the identity.
+    A step so large that a coordinate is no longer finite raises a
+    ValueError naming ``stretch_step``.
     """
     if params.stretch_iterations == 0:
         return layout
@@ -198,6 +204,8 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
                 continue
             coords[gid][0] += params.stretch_step * forces[gid][0]
             coords[gid][1] += params.stretch_step * forces[gid][1]
+            if not (math.isfinite(coords[gid][0]) and math.isfinite(coords[gid][1])):
+                raise ValueError(f"stretch_step={params.stretch_step} makes a position non-finite")
 
     points = [(x, y) for x, y in coords]
     return LayoutResult({i: points[gid] for i, gid in enumerate(group_ids)}, groups, group_ids)

@@ -160,54 +160,49 @@ def _scan(
     pill_weight)``; it is valid until the generator is resumed.
     """
     tokens = seq.tokens
-    length = len(tokens)
     window = params.window_w
     plain = params.variant == PLAIN
     basket_of = seq.basket_membership
-    starts = seq.basket_starts
-    basket_count = seq.basket_count
+    # basket k holds events bounds[k] .. bounds[k + 1] - 1
+    bounds = (*seq.basket_starts, len(seq))
 
     occurrences: dict[Token, deque[int]] = defaultdict(deque)
     matches: list[Match] = []
     pill_weight: dict[int, int] = {}
-    # pills in progress as (first, last, entrance, entrance order, exit);
-    # a merge only ever absorbs the tail of the stack
-    builders: list[tuple[int, int, int, int, int]] = []
+    # pills in progress as (first, last, entrance, exit), disjoint and
+    # ordered; a merge only ever absorbs the tail of the stack.  Every
+    # match of a builder comes before every match of the builders above
+    # it, so a merge takes the entrance of the deepest builder it pops
+    # (the last one), or ``j`` if it pops none.  No builder ends after
+    # ``high``: it is ``i`` (plain) or the end of ``i``'s basket, and
+    # every earlier match ended at or before that.
+    builders: list[tuple[int, int, int, int]] = []
 
     start = 0
-    for end in (*stops, length):
+    for end in (*stops, len(tokens)):
         for i in range(start, end):
             token = tokens[i]
             recent = occurrences[token]
             if recent:
                 if plain:
                     floor = i - window
-                    while recent and recent[0] < floor:
-                        recent.popleft()
                 else:
-                    basket_floor = basket_of[i] - window + 1
-                    while recent and basket_of[recent[0]] < basket_floor:
-                        recent.popleft()
+                    k = basket_of[i]
+                    floor = bounds[k - window + 1] if k >= window else 0
+                while recent and recent[0] < floor:
+                    recent.popleft()
             if recent:
                 j = recent[0]
                 if plain:
                     low, high = j, i
                 else:
-                    low = starts[basket_of[j]]
-                    k = basket_of[i]
-                    high = (starts[k + 1] - 1) if k + 1 < basket_count else length - 1
-                order = len(matches)
-                entrance, ent_order = j, order
+                    low, high = bounds[basket_of[j]], bounds[k + 1] - 1
+                entrance = j
                 while builders and builders[-1][1] >= low:
-                    first, last, absorbed_entrance, absorbed_order, _ = builders.pop()
+                    first, _, entrance, _ = builders.pop()
                     if first < low:
                         low = first
-                    if last > high:
-                        high = last
-                    if absorbed_order < ent_order:
-                        ent_order = absorbed_order
-                        entrance = absorbed_entrance
-                builders.append((low, high, entrance, ent_order, i))
+                builders.append((low, high, entrance, i))
                 pill_weight[j] = pill_weight.get(j, 0) + (i - j)
                 matches.append(Match(j, i))
             recent.append(i)
@@ -222,10 +217,7 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
     to the earliest same-token event inside the window.
     """
     builders, matches, pill_weight = next(_scan(seq, params))
-    length = len(seq)
-    pills = tuple(
-        Pill(first, last, entrance, exit_) for first, last, entrance, _, exit_ in builders
-    )
+    pills = tuple(Pill(*builder) for builder in builders)
     wire_weight: dict[int, int] = {}
     wire_events: list[int] = []
     cursor = 0
@@ -234,7 +226,7 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
         wire_weight[pill.exit_event] = pill.span
         wire_events.extend(range(cursor, pill.first_event))
         cursor = pill.last_event + 1
-    wire_events.extend(range(cursor, length))
+    wire_events.extend(range(cursor, len(seq)))
 
     return TangleResult(
         sequence=seq,
@@ -260,7 +252,7 @@ def _reported_before(
     for cp, (builders, _, _) in zip(points, _scan(seq, params, ends)):
         index = cp.event_index
         number = bisect_right(builders, index, key=itemgetter(0)) - 1
-        yield number >= 0 and builders[number][2 if cp.role == ENTRANCE else 4] == index
+        yield number >= 0 and builders[number][2 if cp.role == ENTRANCE else 3] == index
 
 
 def _top_k(weights: Mapping[int, int], k: int) -> list[tuple[int, int]]:
@@ -310,11 +302,7 @@ def sweep(
     seq: BasketSequence, windows: Iterable[int], variant: str = BASKET
 ) -> dict[int, TangleResult]:
     """Tangle the same sequence at several window widths; map W -> result."""
-    widths = list(windows)
-    if not widths:
+    results = {w: tangle(seq, TangleParams(w, variant)) for w in dict.fromkeys(windows)}
+    if not results:
         raise ValueError("windows must be non-empty")
-    results: dict[int, TangleResult] = {}
-    for w in widths:
-        if w not in results:
-            results[w] = tangle(seq, TangleParams(window_w=w, variant=variant))
     return results

@@ -6,16 +6,29 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tangled_string import RegimeSpec, SyntheticSpec, generate_synthetic
+from tangled_string import (
+    RegimeSpec,
+    SyntheticSpec,
+    TangleParams,
+    emit_json,
+    generate_synthetic,
+    schema_text,
+    tangle,
+)
 from tangled_string.cli import cli_main
 
 from dot_checker import parse_dot
 from eval_scenario import pure_step_prices, week
 
 DEMO = ["1", "2", "3", "2", "3", "4", "3", "4", "5", "6", "2", "5", "6", "7"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def demo_csv(tmp_path, name="demo.csv"):
@@ -120,6 +133,32 @@ def test_layout_includes_coordinates(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["layout"]["positions"]) == 14
     assert len(doc["layout"]["groups"]) == 8
+
+
+def distinct_tokens_csv(tmp_path, count=3000):
+    start = datetime.date(2000, 1, 1)
+    path = tmp_path / "distinct.csv"
+    path.write_text(
+        "".join(f"{start + datetime.timedelta(days=k)},t{k}\n" for k in range(count)),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "input_csv, option, value",
+    [(demo_csv, "--stretch-step", "1e200"),
+     (distinct_tokens_csv, "--extension-a", "2")],
+)
+def test_layout_that_leaves_the_plane_is_usage_error(tmp_path, capsys, input_csv, option, value):
+    out = tmp_path / "layout.json"
+    code = cli_main(
+        ["layout", "--input", input_csv(tmp_path), "--window", "6", "--variant", "plain",
+         "--stretch-iterations", "5", option, value, "--out", str(out)]
+    )
+    assert code == 1
+    assert f"usage error: {option}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_basket_variant_is_default(tmp_path, capsys):
@@ -301,6 +340,30 @@ def test_eval_json_table(tmp_path, capsys):
     assert len(doc["cells"]) == 4
 
 
+@pytest.mark.parametrize("deltas", ["nan", "inf", "3,-inf", "0"])
+def test_non_finite_or_non_positive_delta_is_usage_error(tmp_path, capsys, deltas):
+    baskets, prices = scenario_csv(tmp_path)
+    code = cli_main(["eval", "--input", baskets, "--prices", prices, "--deltas", deltas])
+    assert code == 1
+    assert "deltas must all be positive and finite" in capsys.readouterr().err
+
+
+def test_horizon_past_the_calendar_runs_to_its_edge(tmp_path):
+    def cell_counts(delta):
+        out = tmp_path / f"eval_{delta}.json"
+        args = ["--input", str(GOLDEN / "synth.csv"), "--prices", str(GOLDEN / "eval_prices.csv")]
+        code = cli_main(["eval", *args, "--deltas", delta, "--format", "json", "--out", str(out)])
+        assert code == 0
+        cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+        return [{k: v for k, v in cell.items() if k != "delta_months"} for cell in cells]
+
+    # 100 years already covers every price; the longer ones leave the calendar
+    counts = cell_counts("1200")
+    assert sum(cell["evaluated"] for cell in counts) > 0
+    assert cell_counts("30000") == counts
+    assert cell_counts("1e9") == counts
+
+
 def test_eval_no_sigma_drops_rows(tmp_path, capsys):
     baskets, prices = scenario_csv(tmp_path)
     code = cli_main(
@@ -398,6 +461,53 @@ def test_synth_output_feeds_back_into_tangle(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["baskets"] == 20
+
+
+# tokens that a CSV cell carries unchanged: no whitespace at the ends, no NUL
+csv_tokens = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=3
+)
+regimes = st.builds(
+    RegimeSpec,
+    vocabulary=st.lists(csv_tokens, min_size=1, max_size=4).map(tuple),
+    length_baskets=st.integers(1, 8),
+    repeat_rate=st.floats(0, 1),
+)
+specs = st.builds(
+    SyntheticSpec,
+    regimes=st.lists(regimes, min_size=1, max_size=3).map(tuple),
+    noise_rate=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+    basket_size=st.integers(1, 4),
+    start_date=st.dates(datetime.date(1990, 1, 1), datetime.date(2030, 1, 1)).map(str),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(spec=specs, window=st.integers(1, 4), variant=st.sampled_from(["plain", "basket"]))
+def test_synth_then_tangle_matches_a_library_run(spec, window, variant):
+    raw = {
+        "regimes": [
+            {"vocabulary": list(r.vocabulary), "length_baskets": r.length_baskets,
+             "repeat_rate": r.repeat_rate}
+            for r in spec.regimes
+        ],
+        "noise_rate": spec.noise_rate,
+        "seed": spec.seed,
+        "basket_size": spec.basket_size,
+        "start_date": spec.start_date,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, baskets, document = (Path(tmp) / n for n in ("s.json", "b.csv", "d.json"))
+        spec_path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli_main(["synth", "--spec", str(spec_path), "--out", str(baskets)]) == 0
+        code = cli_main(["tangle", "--input", str(baskets), "--window", str(window),
+                         "--variant", variant, "--format", "json", "--out", str(document)])
+        assert code == 0
+        text = document.read_text(encoding="utf-8")
+    jsonschema.Draft7Validator(json.loads(schema_text())).validate(json.loads(text))
+    seq, _ = generate_synthetic(spec)
+    assert text == emit_json(tangle(seq, TangleParams(window, variant)))
 
 
 def test_synth_invalid_json_spec(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Coincidence evaluator, delay checks, and synthetic generation."""
 
 import datetime
+import math
 
 import pytest
 
@@ -241,8 +242,9 @@ def test_eval_params_validation():
         EvalParams(windows=())
     with pytest.raises(ValueError):
         EvalParams(windows=(0,))
-    with pytest.raises(ValueError):
-        EvalParams(deltas_months=(-3,))
+    for delta in (-3, 0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EvalParams(deltas_months=(delta,))
     with pytest.raises(ValueError):
         EvalParams(comparison="median")
 

@@ -10,7 +10,6 @@ import pytest
 from tangled_string import (
     EmptyBasketError,
     EmptySequenceError,
-    FormatOptions,
     ParseError,
     PriceSeries,
     ingest,
@@ -21,8 +20,7 @@ from tangled_string import (
 
 
 def baskets_of(text, **kwargs):
-    options = FormatOptions(**kwargs) if kwargs else None
-    return parse_baskets(io.StringIO(text), options)
+    return parse_baskets(io.StringIO(text), **kwargs)
 
 
 def test_basic_rows():

@@ -6,6 +6,8 @@ import pytest
 
 from tangled_string import (
     LayoutParams,
+    LayoutResult,
+    emit_json,
     TangleParams,
     assign_positions,
     from_plain,
@@ -145,3 +147,29 @@ def test_layout_params_validation():
             LayoutParams(a=value)
         with pytest.raises(ValueError):
             LayoutParams(stretch_step=value)
+
+
+def test_growing_extension_is_refused_at_the_first_non_finite_position():
+    # with |a| > 1 each unmatched step is a times the last one
+    seq = from_plain(f"t{i}" for i in range(3000))
+    result = tangle(seq, TangleParams(1, "plain"))
+    with pytest.raises(ValueError, match="a=2.0"):
+        assign_positions(seq, result, LayoutParams(a=2.0))
+
+
+def test_oversized_stretch_step_is_refused():
+    _, _, layout = demo_layout()
+    params = LayoutParams(stretch_iterations=5, stretch_step=1e200)
+    with pytest.raises(ValueError, match="stretch_step"):
+        stretch(layout, params)
+
+
+def test_emit_json_never_writes_non_finite_numbers():
+    _, result, layout = demo_layout()
+    broken = LayoutResult(
+        {i: (math.nan, 0.0) for i in layout.positions},
+        layout.shared_position_groups,
+        layout.group_ids,
+    )
+    with pytest.raises(ValueError):
+        emit_json(result, broken)

@@ -6,6 +6,7 @@ from tangled_string import (
     ENTRANCE,
     EXIT,
     Match,
+    Pill,
     TangleParams,
     change_points,
     from_baskets,
@@ -34,6 +35,16 @@ def as_tuples(result):
 
 
 # ---------------------------------------------------------------- demo string
+
+
+def test_merge_absorbing_two_pills_keeps_the_deepest_entrance():
+    # "aa" and "bb" knot first; the x match then swallows both, and the
+    # merged pill enters where its first match did, at event 1
+    seq = from_plain(list("xaabbx"))
+    result = tangle(seq, TangleParams(5, "plain"))
+    assert result.pills == (Pill(0, 5, 1, 5),)
+    assert as_tuples(result) == naive_tangle(seq, 5, "plain").pills
+
 
 
 def test_two_pills_at_window_6():
