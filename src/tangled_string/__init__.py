@@ -38,8 +38,6 @@ from .tangler import (
     BASKET,
     ENTRANCE,
     EXIT,
-    IN_PILL,
-    ON_WIRE,
     PLAIN,
     ChangePoint,
     KeyEvent,
@@ -72,12 +70,10 @@ __all__ = [
     "EmptyEvaluationError",
     "EmptySequenceError",
     "EvalParams",
-    "IN_PILL",
     "KeyEvent",
     "LayoutParams",
     "LayoutResult",
     "Match",
-    "ON_WIRE",
     "PLAIN",
     "ParseError",
     "Pill",

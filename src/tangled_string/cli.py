@@ -24,6 +24,8 @@ from .errors import (
     ParseError,
 )
 from .evaluator import (
+    COMPARE_ENDPOINT,
+    COMPARE_MEAN,
     EvalParams,
     RegimeSpec,
     SyntheticSpec,
@@ -106,8 +108,11 @@ def _delta_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
-    if not values or not all(0 < v < math.inf for v in values):
-        raise argparse.ArgumentTypeError("deltas must all be positive and finite")
+    try:
+        # the horizon rule is EvalParams'
+        EvalParams(deltas_months=tuple(values))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return values
 
 
@@ -218,8 +223,15 @@ def _cmd_eval(args) -> int:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["role", "delta_months", "metric", "count", "fraction"])
-        for role, delta, metric, count, fraction in table.to_rows():
-            writer.writerow([role, delta, metric, count, f"{fraction:.4f}"])
+        metrics = ["decrease", "increase"]
+        if params.sigma_rule:
+            metrics.append("increase_gt_sigma")
+        # the JSON cells, flattened: both formats list the same cells in one order
+        for cell in table.to_dict()["cells"]:
+            role, delta = cell["role"], cell["delta_months"]
+            for metric in metrics:
+                fraction = cell[f"{metric}_fraction"]
+                writer.writerow([role, delta, metric, cell[metric], f"{fraction:.4f}"])
         _write_text(args.out, buffer.getvalue())
     return 0
 
@@ -240,13 +252,17 @@ def _load_synth_spec(path: str, seed_override: int | None) -> SyntheticSpec:
             )
             for regime in raw["regimes"]
         )
-        # SyntheticSpec checks start_date itself, and null leaves baskets undated
+        # SyntheticSpec checks a start_date string itself
         fields = _given(
             raw, noise_rate=float, seed=int, basket_size=int, start_date=lambda date: date
         )
         if seed_override is not None:
             fields["seed"] = seed_override
-        return SyntheticSpec(regimes=regimes, **fields)
+        spec = SyntheticSpec(regimes=regimes, **fields)
+        if spec.start_date is None:
+            # undated rows are not a basket file tangle can read
+            raise ValueError("start_date must be a date, not null")
+        return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad synthetic spec in {path}: {exc}") from None
 
@@ -264,8 +280,8 @@ def _cmd_synth(args) -> int:
     seq, boundaries = generate_synthetic(spec)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    for k, (label, basket) in enumerate(zip(seq.time_labels, seq.baskets())):
-        writer.writerow([label or str(k), *basket])
+    for label, basket in zip(seq.time_labels, seq.baskets()):
+        writer.writerow([label, *basket])
     _write_text(args.out, buffer.getvalue())
     if args.boundaries_out:
         _write_text(
@@ -312,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--deltas", type=_delta_list, default=[3.0, 6.0, 12.0, 24.0],
                      help="horizons in months")
     sub.add_argument("--no-sigma", action="store_true", help="drop the sigma rule rows")
-    sub.add_argument("--comparison", default="mean", choices=["mean", "endpoint"])
+    sub.add_argument("--comparison", default=COMPARE_MEAN, choices=[COMPARE_MEAN, COMPARE_ENDPOINT])
     sub.add_argument("--format", default="csv", choices=["csv", "json"])
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=_cmd_eval)

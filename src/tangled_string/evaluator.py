@@ -42,8 +42,6 @@ WEEKS_PER_MONTH = 4.33
 COMPARE_MEAN = "mean"
 COMPARE_ENDPOINT = "endpoint"
 
-_CALENDAR_DAYS = (datetime.date.max - datetime.date.min).days
-
 
 def months_to_days(months: float) -> int:
     """Horizon length in days: months -> whole weeks (nearest) -> days."""
@@ -71,8 +69,13 @@ class EvalParams:
             raise ValueError("windows must all be >= 1")
         if not self.deltas_months:
             raise ValueError("deltas_months must be non-empty")
-        if not all(0 < d < math.inf for d in self.deltas_months):
-            raise ValueError("deltas_months must all be positive and finite")
+        # half a week or less rounds to a 0-day window; months_to_days(-inf) overflows
+        for delta in self.deltas_months:
+            if not (math.isfinite(delta) and months_to_days(delta) > 0):
+                raise ValueError(
+                    "deltas must all be positive and finite, and longer than half a week;"
+                    f" got {delta}"
+                )
         if self.comparison not in (COMPARE_MEAN, COMPARE_ENDPOINT):
             raise ValueError(f"comparison must be '{COMPARE_MEAN}' or '{COMPARE_ENDPOINT}'")
 
@@ -127,27 +130,8 @@ class CoincidenceTable:
     def cell(self, role: str, delta_months: float) -> CoincidenceCell:
         return self.cells[(role, delta_months)]
 
-    def to_rows(self) -> list[tuple]:
-        """Flat (role, delta, metric, count, fraction) rows for CSV."""
-        rows = []
-        for role in (ENTRANCE, EXIT):
-            for delta in self.params.deltas_months:
-                cell = self.cells[(role, delta)]
-                rows.append((role, delta, "decrease", cell.decrease, cell.decrease_fraction))
-                rows.append((role, delta, "increase", cell.increase, cell.increase_fraction))
-                if self.params.sigma_rule:
-                    rows.append(
-                        (
-                            role,
-                            delta,
-                            "increase_gt_sigma",
-                            cell.increase_gt_sigma,
-                            cell.increase_gt_sigma_fraction,
-                        )
-                    )
-        return rows
-
     def to_dict(self) -> dict:
+        """Plain data; cells in role order, then by ascending horizon."""
         return {
             "params": {
                 "windows": list(self.params.windows),
@@ -170,9 +154,7 @@ class CoincidenceTable:
                     "increase_fraction": cell.increase_fraction,
                     "increase_gt_sigma_fraction": cell.increase_gt_sigma_fraction,
                 }
-                for (role, delta), cell in sorted(
-                    self.cells.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
+                for (role, delta), cell in sorted(self.cells.items())
             ],
         }
 
@@ -217,21 +199,12 @@ def coincidence_table(
                 missing += 1
                 continue
             role_pairs.append((token, parse_date(label)))
-        for delta in params.deltas_months:
-            # a window that would leave the calendar ends at its edge: no
-            # date lies beyond it, so the window holds the same prices
-            horizon = datetime.timedelta(days=min(months_to_days(delta), _CALENDAR_DAYS))
+        for delta in dict.fromkeys(params.deltas_months):
+            days = months_to_days(delta)
             evaluated = decrease = increase = gt_sigma = flat = 0
             dropped = missing
             for token, day in role_pairs:
-                start = day - min(horizon, day - datetime.date.min)
-                stop = day + min(horizon, datetime.date.max - day)
-                before = prices.prices_between(
-                    token, start, day, include_start=True, include_end=False
-                )
-                after = prices.prices_between(
-                    token, day, stop, include_start=False, include_end=True
-                )
+                before, after = prices.around(token, day, days)
                 if not before or not after:
                     dropped += 1
                     continue

@@ -26,6 +26,7 @@ _NUL = "line contains NUL"
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _DOTTED_DATE = re.compile(r"([0-9]+)\.([0-9]+)\.([0-9]+)")
+_LAST_ORDINAL = datetime.date.max.toordinal()
 
 
 def parse_date(text: str) -> datetime.date:
@@ -105,7 +106,7 @@ class PriceSeries:
     """Per-symbol price observations, sorted by date.
 
     Construction validates that each symbol's dates are strictly
-    increasing; ``prices_between`` answers windowed queries by bisection.
+    increasing; ``around`` answers windowed queries by bisection.
     """
 
     __slots__ = ("_dates", "_values")
@@ -141,19 +142,23 @@ class PriceSeries:
     def observations(self, symbol: str) -> tuple[tuple[datetime.date, float], ...]:
         return tuple(zip(self._dates[symbol], self._values[symbol]))
 
-    def prices_between(
-        self,
-        symbol: str,
-        start: datetime.date,
-        end: datetime.date,
-        include_start: bool = True,
-        include_end: bool = True,
-    ) -> list[float]:
-        """Values observed for ``symbol`` within the date window."""
-        dates = self._dates[symbol]
-        lo = bisect_left(dates, start) if include_start else bisect_right(dates, start)
-        hi = bisect_right(dates, end) if include_end else bisect_left(dates, end)
-        return self._values[symbol][lo:hi]
+    def around(
+        self, symbol: str, day: datetime.date, days: int
+    ) -> tuple[list[float], list[float]]:
+        """Values for ``symbol`` in ``[day - days, day)`` and in ``(day, day + days]``.
+
+        A window that would leave the calendar ends at its edge: no date
+        lies beyond it, so the window holds the same prices.
+        """
+        dates, values = self._dates[symbol], self._values[symbol]
+        ordinal = day.toordinal()
+        start = datetime.date.fromordinal(max(ordinal - days, 1))
+        end = datetime.date.fromordinal(min(ordinal + days, _LAST_ORDINAL))
+        lo = bisect_left(dates, start)
+        below = bisect_left(dates, day, lo)
+        above = bisect_right(dates, day, below)
+        hi = bisect_right(dates, end, above)
+        return values[lo:below], values[above:hi]
 
 
 def parse_prices(lines: Iterable[str], delimiter: str = ",") -> PriceSeries:

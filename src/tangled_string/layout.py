@@ -54,11 +54,6 @@ class LayoutResult:
     shared_position_groups: tuple[tuple[int, ...], ...]
     group_ids: tuple[int, ...]
 
-    def group_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < len(self.group_ids):
-            raise KeyError(index)
-        return self.shared_position_groups[self.group_ids[index]]
-
 
 def _rotate(direction: Position, angle: float) -> Position:
     cos_a, sin_a = math.cos(angle), math.sin(angle)

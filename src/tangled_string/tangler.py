@@ -47,9 +47,6 @@ BASKET = "basket"
 ENTRANCE = "entrance"
 EXIT = "exit"
 
-IN_PILL = "in-pill"
-ON_WIRE = "on-wire"
-
 
 @dataclass(frozen=True)
 class TangleParams:
@@ -106,10 +103,9 @@ class KeyEvent:
 
     event_index: int
     token: Token
-    kind: str  # IN_PILL or ON_WIRE
     weight: int
     rank: int
-    role: str | None = None  # ENTRANCE or EXIT for wire key events
+    role: str | None = None  # ENTRANCE or EXIT on the wire, None inside a pill
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,7 @@ def key_pill_events(result: TangleResult, k: int) -> list[KeyEvent]:
     """The k heaviest in-pill events by accumulated revisit distance."""
     tokens = result.sequence.tokens
     return [
-        KeyEvent(index, tokens[index], IN_PILL, weight, rank)
+        KeyEvent(index, tokens[index], weight, rank)
         for rank, (index, weight) in enumerate(_top_k(result.pill_weight, k), start=1)
     ]
 
@@ -280,7 +276,7 @@ def key_wire_events(result: TangleResult, k: int) -> list[KeyEvent]:
         role_of[pill.exit_event] = EXIT
     tokens = result.sequence.tokens
     return [
-        KeyEvent(index, tokens[index], ON_WIRE, weight, rank, role=role_of[index])
+        KeyEvent(index, tokens[index], weight, rank, role=role_of[index])
         for rank, (index, weight) in enumerate(_top_k(result.wire_weight, k), start=1)
     ]
 

@@ -364,6 +364,51 @@ def test_horizon_past_the_calendar_runs_to_its_edge(tmp_path):
     assert cell_counts("1e9") == counts
 
 
+GOLDEN_EVAL = ["--input", str(GOLDEN / "synth.csv"), "--prices", str(GOLDEN / "eval_prices.csv")]
+
+
+def golden_eval(tmp_path, *options):
+    """The text ``eval`` writes for the golden baskets and prices."""
+    out = tmp_path / "eval.out"
+    assert cli_main(["eval", *GOLDEN_EVAL, *options, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def test_eval_repeated_horizon_is_one_cell(tmp_path):
+    once = golden_eval(tmp_path, "--deltas", "3", "--format", "csv")
+    assert golden_eval(tmp_path, "--deltas", "3,3", "--format", "csv") == once
+
+
+@pytest.mark.parametrize("sigma", [[], ["--no-sigma"]])
+def test_eval_csv_is_the_json_cells_flattened(tmp_path, sigma):
+    options = ["--deltas", "12,3,3", *sigma]
+    rows = list(csv.reader(io.StringIO(golden_eval(tmp_path, *options, "--format", "csv"))))
+    cells = json.loads(golden_eval(tmp_path, *options, "--format", "json"))["cells"]
+    metrics = ["decrease", "increase"] + ([] if sigma else ["increase_gt_sigma"])
+    assert rows[0] == ["role", "delta_months", "metric", "count", "fraction"]
+    assert rows[1:] == [
+        [c["role"], str(c["delta_months"]), m, str(c[m]), f"{c[m + '_fraction']:.4f}"]
+        for c in cells
+        for m in metrics
+    ]
+    assert [c["delta_months"] for c in cells] == [3.0, 12.0] * 2
+
+
+def test_horizon_that_rounds_to_no_days_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "eval.csv"
+    code = cli_main(["eval", *GOLDEN_EVAL, "--deltas", "0.1", "--out", str(out)])
+    assert code == 1
+    assert "deltas must all be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--windows", "0,2"), ("--deltas", "x")])
+def test_eval_options_are_checked_when_parsed(tmp_path, capsys, option, value):
+    code = cli_main(["eval", *GOLDEN_EVAL, option, value])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_eval_no_sigma_drops_rows(tmp_path, capsys):
     baskets, prices = scenario_csv(tmp_path)
     code = cli_main(
@@ -624,7 +669,11 @@ def test_undecodable_synth_spec_is_input_error(tmp_path, capsys):
     "overrides",
     [{"start_date": "garbage"}, {"start_date": 5},
      {"regimes": [{"vocabulary": ["a", ""], "length_baskets": 3}]},
-     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 3}], "start_date": "9999-12-24"}],
+     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 3}], "start_date": "9999-12-24"},
+     {"start_date": None},
+     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 0}]},
+     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 3, "repeat_rate": 1.5}]},
+     {"noise_rate": -0.1}, {"basket_size": 0}],
 )
 def test_synth_bad_spec_values_are_input_errors(tmp_path, capsys, overrides):
     code = cli_main(["synth", "--spec", synth_spec(tmp_path, **overrides)])
@@ -644,7 +693,8 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "option, value", [("--stretch-iterations", "-1"), ("--stretch-step", "0"),
                       ("--stretch-step", "nan"), ("--extension-a", "nan"),
-                      ("--extension-a", "-inf")]
+                      ("--extension-a", "-inf"), ("--window", "abc"),
+                      ("--stretch-step", "abc")]
 )
 def test_stretch_options_are_checked_when_parsed(tmp_path, capsys, option, value):
     code = cli_main(["layout", "--input", demo_csv(tmp_path), "--window", "6", option, value])

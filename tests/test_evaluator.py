@@ -218,22 +218,18 @@ def test_undated_sequence_rejected():
         )
 
 
-def test_table_rows_and_dict_round_trip():
+def test_table_dict_lists_each_cell_once_in_order():
     seq = build_sequence()
-    params = EvalParams(windows=(3, 4), deltas_months=(3, 6))
+    params = EvalParams(windows=(3, 4), deltas_months=(6, 3, 6))
     table = coincidence_table(seq, price_series(pure_step_prices()), params)
-    rows = table.to_rows()
-    # 2 roles x 2 horizons x 3 metrics, long format for CSV.
-    assert len(rows) == 12
-    assert {row[0] for row in rows} == {ENTRANCE, EXIT}
-    assert {row[2] for row in rows} == {
-        "decrease",
-        "increase",
-        "increase_gt_sigma",
-    }
     doc = table.to_dict()
     assert doc["pairs"] == {ENTRANCE: 2, EXIT: 2}
-    assert len(doc["cells"]) == 4
+    # role, then ascending horizon; a repeated horizon is one cell
+    assert [(cell["role"], cell["delta_months"]) for cell in doc["cells"]] == [
+        (ENTRANCE, 3), (ENTRANCE, 6), (EXIT, 3), (EXIT, 6)
+    ]
+    # the parameters echo the request as given
+    assert doc["params"]["deltas_months"] == [6, 3, 6]
     assert doc["params"]["windows"] == [3, 4]
 
 
@@ -242,7 +238,8 @@ def test_eval_params_validation():
         EvalParams(windows=())
     with pytest.raises(ValueError):
         EvalParams(windows=(0,))
-    for delta in (-3, 0, math.nan, math.inf):
+    # 0.1 months rounds to a 0-day window
+    for delta in (-3, 0, 0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             EvalParams(deltas_months=(delta,))
     with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ def test_groups_equal_union_find_components(variant):
         assert layout.shared_position_groups == expected, context
         for group in expected:
             for member in group:
-                assert layout.group_of(member) == group, context
+                assert layout.shared_position_groups[layout.group_ids[member]] == group, context
         assert sorted(dot_groups(emit_dot(result)).values()) == sorted(expected), context
 
 

@@ -228,15 +228,24 @@ def test_repeated_or_earlier_price_date_reports_its_line(day):
     assert err.value.line == 3
 
 
-def test_prices_between_window_edges():
+def test_around_window_edges():
     series = prices_of(
         "\n".join(f"2020-01-{day:02d},S,{day}" for day in range(1, 11)) + "\n"
     )
-    lo, hi = datetime.date(2020, 1, 3), datetime.date(2020, 1, 6)
-    assert series.prices_between("S", lo, hi) == [3, 4, 5, 6]
-    assert series.prices_between("S", lo, hi, include_start=False) == [4, 5, 6]
-    assert series.prices_between("S", lo, hi, include_end=False) == [3, 4, 5]
-    assert series.prices_between("S", hi, lo) == []
+    # [day - days, day) and (day, day + days]: the start and end are kept, day is not
+    assert series.around("S", datetime.date(2020, 1, 5), 2) == ([3, 4], [6, 7])
+    assert series.around("S", datetime.date(2020, 1, 1), 3) == ([], [2, 3, 4])
+    assert series.around("S", datetime.date(2020, 1, 12), 2) == ([10], [])
+
+
+def test_around_clamps_at_the_calendar_edges():
+    first, last = datetime.date.min, datetime.date.max
+    series = PriceSeries(
+        {"S": [(first, 1.0), (first + datetime.timedelta(days=1), 2.0),
+               (last - datetime.timedelta(days=1), 3.0), (last, 4.0)]}
+    )
+    assert series.around("S", first, 10**9) == ([], [2.0, 3.0, 4.0])
+    assert series.around("S", last, 10**9) == ([1.0, 2.0, 3.0], [])
 
 
 def test_price_series_rejects_duplicate_dates():

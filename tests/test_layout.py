@@ -78,9 +78,8 @@ def test_shared_position_groups_are_match_components():
         (10,),
         (13,),
     )
-    assert layout.group_of(4) == (2, 4, 6)
-    with pytest.raises(KeyError):
-        layout.group_of(99)
+    assert layout.shared_position_groups[layout.group_ids[4]] == (2, 4, 6)
+    assert len(layout.group_ids) == len(DEMO)
 
 
 def test_layout_rejects_foreign_sequence():

@@ -119,7 +119,7 @@ def test_key_pill_events():
     assert [(e.event_index, e.token, e.weight, e.rank) for e in top] == [(2, "3", 6, 1)]
     top3 = key_pill_events(result, 3)
     assert [e.event_index for e in top3] == [2, 8, 9]
-    assert all(e.kind == "in-pill" and e.role is None for e in top3)
+    assert all(e.role is None for e in top3)
 
 
 def test_key_wire_events_tie_break_prefers_earlier_event():
