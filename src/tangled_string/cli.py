@@ -12,11 +12,10 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
-from .emit import DEFAULT_KEY_EVENTS, emit_dot, emit_json
+from .emit import DEFAULT_KEY_EVENTS, emit_dot, emit_json, json_text
 from .errors import (
     EmptyBasketError,
     EmptyEvaluationError,
@@ -34,10 +33,11 @@ from .evaluator import (
 )
 from .ingest import parse_baskets, parse_prices
 from .layout import LayoutParams, assign_positions, stretch
-from .tangler import BASKET, PLAIN, TangleParams, sweep, tangle
+from .tangler import BASKET, PLAIN, TangleParams, _top_k, sweep, tangle
 
 USAGE_EXIT = 1
 PARSE_EXIT = 2
+MAX_RANGE_WIDTHS = 1000
 
 
 class _UsageError(Exception):
@@ -50,70 +50,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _checked_by(cast, rule):
+    """An argparse type: ``cast`` the text, then check it by ``rule``, the library
+    object that takes the value; the rule's ValueError is the usage message."""
+
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
+            value = cast(text)
+            rule(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-
-
-def _finite_float(text: str) -> float:
+def _int_list(text: str) -> tuple[int, ...]:
+    """Parse 'N..M' (at most MAX_RANGE_WIDTHS values) or a comma list '3,4,5'."""
     try:
-        value = float(text)
+        if ".." not in text:
+            return tuple(int(part) for part in text.split(",") if part.strip())
+        low, high = text.split("..", 1)
+        start, stop = int(low), int(high)
+        if stop < start:
+            raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("must be finite")
-    return value
+        raise ValueError(f"expected N..M or a comma list of integers, got {text!r}") from None
+    # checked before anything is allocated: a huge range would exhaust memory
+    if stop - start >= MAX_RANGE_WIDTHS:
+        raise ValueError(f"a range N..M may hold at most {MAX_RANGE_WIDTHS} widths, got {text!r}")
+    return tuple(range(start, stop + 1))
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _window_list(text: str) -> list[int]:
-    """Accept '3..6' or '3,4,5'."""
+def _float_list(text: str) -> tuple[float, ...]:
     try:
-        if ".." in text:
-            low, high = text.split("..", 1)
-            start, stop = int(low), int(high)
-            if stop < start:
-                raise ValueError
-            values = list(range(start, stop + 1))
-        else:
-            values = [int(part) for part in text.split(",") if part.strip()]
+        return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected N..M or a comma list of integers, got {text!r}"
-        ) from None
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("window widths must all be >= 1")
-    return values
-
-
-def _delta_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
-    try:
-        # the horizon rule is EvalParams'
-        EvalParams(deltas_months=tuple(values))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return values
+        raise ValueError(f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _add_input_options(parser: argparse.ArgumentParser):
@@ -152,11 +125,17 @@ def _read_sequence(args):
     return _parse_file(args.input, parse_baskets, args.delimiter, args.header)
 
 
-def _write_text(path: str | None, text: str):
+def _write_text(path: str | Path | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_csv(path: str | Path | None, rows):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    _write_text(path, buffer.getvalue())
 
 
 def _checked(option: str, step, *args):
@@ -188,22 +167,18 @@ def _cmd_sweep(args) -> int:
     results = sweep(seq, args.windows, variant=args.variant)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [["window", "pill_count", "mean_span", "time_resolution"]]
     for window in sorted(results):
-        (out_dir / f"tangle_w{window}.json").write_text(
-            emit_json(results[window], key_events=args.key_events), encoding="utf-8"
-        )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["window", "pill_count", "mean_span", "time_resolution"])
-    for window in sorted(results):
+        text = emit_json(results[window], key_events=args.key_events)
+        _write_text(out_dir / f"tangle_w{window}.json", text)
         pills = results[window].pills
         if pills:
             mean_span = sum(p.span for p in pills) / len(pills)
             resolution = seq.basket_count / len(pills)
-            writer.writerow([window, len(pills), f"{mean_span:.3f}", f"{resolution:.3f}"])
+            rows.append([window, len(pills), f"{mean_span:.3f}", f"{resolution:.3f}"])
         else:
-            writer.writerow([window, 0, "", ""])
-    (out_dir / "sweep_summary.csv").write_text(buffer.getvalue(), encoding="utf-8")
+            rows.append([window, 0, "", ""])
+    _write_csv(out_dir / "sweep_summary.csv", rows)
     return 0
 
 
@@ -211,36 +186,32 @@ def _cmd_eval(args) -> int:
     seq = _read_sequence(args)
     prices = _parse_file(args.prices, parse_prices, args.delimiter)
     params = EvalParams(
-        windows=tuple(args.windows),
-        deltas_months=tuple(args.deltas),
+        windows=args.windows,
+        deltas_months=args.deltas,
         sigma_rule=not args.no_sigma,
         comparison=args.comparison,
     )
-    table = coincidence_table(seq, prices, params)
+    table = coincidence_table(seq, prices, params).to_dict()
     if args.format == "json":
-        _write_text(args.out, json.dumps(table.to_dict(), sort_keys=True, indent=2) + "\n")
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["role", "delta_months", "metric", "count", "fraction"])
-        metrics = ["decrease", "increase"]
-        if params.sigma_rule:
-            metrics.append("increase_gt_sigma")
-        # the JSON cells, flattened: both formats list the same cells in one order
-        for cell in table.to_dict()["cells"]:
-            role, delta = cell["role"], cell["delta_months"]
-            for metric in metrics:
-                fraction = cell[f"{metric}_fraction"]
-                writer.writerow([role, delta, metric, cell[metric], f"{fraction:.4f}"])
-        _write_text(args.out, buffer.getvalue())
+        _write_text(args.out, json_text(table))
+        return 0
+    metrics = ["decrease", "increase"]
+    if params.sigma_rule:
+        metrics.append("increase_gt_sigma")
+    rows = [["role", "delta_months", "metric", "count", "fraction"]]
+    # the JSON cells, flattened: both formats list the same cells in one order
+    for cell in table["cells"]:
+        role, delta = cell["role"], cell["delta_months"]
+        for metric in metrics:
+            fraction = cell[f"{metric}_fraction"]
+            rows.append([role, delta, metric, cell[metric], f"{fraction:.4f}"])
+    _write_csv(args.out, rows)
     return 0
 
 
 def _load_synth_spec(path: str, seed_override: int | None) -> SyntheticSpec:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise _undecodable(path) from None
+        raw = _parse_file(path, json.load)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     try:
@@ -278,29 +249,26 @@ def _given(raw: dict, **casts) -> dict:
 def _cmd_synth(args) -> int:
     spec = _load_synth_spec(args.spec, args.seed)
     seq, boundaries = generate_synthetic(spec)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    for label, basket in zip(seq.time_labels, seq.baskets()):
-        writer.writerow([label, *basket])
-    _write_text(args.out, buffer.getvalue())
+    rows = ([label, *basket] for label, basket in zip(seq.time_labels, seq.baskets()))
+    _write_csv(args.out, rows)
     if args.boundaries_out:
-        _write_text(
-            args.boundaries_out,
-            json.dumps({"boundaries": boundaries}, sort_keys=True, indent=2) + "\n",
-        )
+        _write_text(args.boundaries_out, json_text({"boundaries": boundaries}))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tangled", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # each option's rule is the one of the library object that takes it
+    key_events = _checked_by(int, lambda k: _top_k({}, k))
+    windows = _checked_by(_int_list, lambda widths: EvalParams(windows=widths))
 
     def add_tangle_options(sub):
         _add_input_options(sub)
-        sub.add_argument("--window", type=_positive_int, required=True)
+        sub.add_argument("--window", type=_checked_by(int, TangleParams), required=True)
         sub.add_argument("--variant", default=BASKET, choices=[PLAIN, BASKET])
         sub.add_argument("--out", default=None, help="output file (default stdout)")
-        sub.add_argument("--key-events", type=_positive_int, default=DEFAULT_KEY_EVENTS)
+        sub.add_argument("--key-events", type=key_events, default=DEFAULT_KEY_EVENTS)
         sub.set_defaults(handler=_cmd_tangle)
 
     sub = subparsers.add_parser("tangle", help="segment one basket file")
@@ -309,24 +277,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("layout", help="segment and embed in the plane (JSON)")
     add_tangle_options(sub)
-    sub.add_argument("--extension-a", type=_finite_float, default=1.0, help="extrapolation gain")
-    sub.add_argument("--stretch-iterations", type=_int_at_least(0), default=0)
-    sub.add_argument("--stretch-step", type=_positive_float, default=0.05)
+    sub.add_argument("--extension-a", type=_checked_by(float, lambda a: LayoutParams(a=a)),
+                     default=1.0, help="extrapolation gain")
+    sub.add_argument("--stretch-iterations", default=0,
+                     type=_checked_by(int, lambda n: LayoutParams(stretch_iterations=n)))
+    sub.add_argument("--stretch-step", default=0.05,
+                     type=_checked_by(float, lambda step: LayoutParams(stretch_step=step)))
 
     sub = subparsers.add_parser("sweep", help="tangle at several window widths")
     _add_input_options(sub)
     sub.add_argument("--variant", default=BASKET, choices=[PLAIN, BASKET])
-    sub.add_argument("--windows", type=_window_list, required=True, help="N..M or comma list")
+    sub.add_argument("--windows", type=windows, required=True, help="N..M or comma list")
     sub.add_argument("--out-dir", default=".", help="directory for documents and summary")
-    sub.add_argument("--key-events", type=_positive_int, default=DEFAULT_KEY_EVENTS)
+    sub.add_argument("--key-events", type=key_events, default=DEFAULT_KEY_EVENTS)
     sub.set_defaults(handler=_cmd_sweep)
 
     sub = subparsers.add_parser("eval", help="price coincidence table for change points")
     _add_input_options(sub)
     sub.add_argument("--prices", required=True, help="date,symbol,price CSV")
-    sub.add_argument("--windows", type=_window_list, default=[3, 4, 5, 6])
-    sub.add_argument("--deltas", type=_delta_list, default=[3.0, 6.0, 12.0, 24.0],
-                     help="horizons in months")
+    sub.add_argument("--windows", type=windows, default=(3, 4, 5, 6))
+    sub.add_argument("--deltas", default=(3.0, 6.0, 12.0, 24.0), help="horizons in months",
+                     type=_checked_by(_float_list, lambda ds: EvalParams(deltas_months=ds)))
     sub.add_argument("--no-sigma", action="store_true", help="drop the sigma rule rows")
     sub.add_argument("--comparison", default=COMPARE_MEAN, choices=[COMPARE_MEAN, COMPARE_ENDPOINT])
     sub.add_argument("--format", default="csv", choices=["csv", "json"])

@@ -11,7 +11,7 @@ import json
 from importlib import resources
 
 from .layout import LayoutResult, shared_groups
-from .tangler import ENTRANCE, EXIT, TangleResult, key_pill_events, key_wire_events
+from .tangler import TangleResult, _top_k, key_pill_events, key_wire_events
 
 SCHEMA_VERSION = 1
 DEFAULT_KEY_EVENTS = 10
@@ -53,12 +53,11 @@ def document_dict(
 
     pills = []
     for number, pill in enumerate(result.pills, start=1):
-        weighted = [
-            (index, result.pill_weight[index])
+        weighted = {
+            index: result.pill_weight[index]
             for index in pill.members
             if index in result.pill_weight
-        ]
-        weighted.sort(key=lambda item: (-item[1], item[0]))
+        }
         pills.append(
             {
                 "index": number,
@@ -69,7 +68,7 @@ def document_dict(
                 "exit": event_ref(pill.exit_event),
                 "top_members": [
                     {"position": index + 1, "token": tokens[index], "weight": weight}
-                    for index, weight in weighted[:TOP_MEMBERS]
+                    for index, weight in _top_k(weighted, TOP_MEMBERS)
                 ],
             }
         )
@@ -129,8 +128,13 @@ def emit_json(
     Self-contained: the document carries every event, so re-rendering
     needs no access to the original input file.
     """
-    doc = document_dict(result, layout, key_events)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json_text(document_dict(result, layout, key_events))
+
+
+def json_text(data) -> str:
+    """The one JSON format of every written file: sorted keys, two-space
+    indent, a trailing newline, and no ``NaN`` or ``Infinity``."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _quote(text: str) -> str:

@@ -92,12 +92,15 @@ class CoincidenceCell:
     tables are usually read.
     """
 
-    evaluated: int = 0
     decrease: int = 0
     increase: int = 0
     increase_gt_sigma: int = 0
     flat: int = 0
     dropped: int = 0
+
+    @property
+    def evaluated(self) -> int:
+        return self.decrease + self.increase + self.flat
 
     @property
     def comparable(self) -> int:
@@ -201,14 +204,13 @@ def coincidence_table(
             role_pairs.append((token, parse_date(label)))
         for delta in dict.fromkeys(params.deltas_months):
             days = months_to_days(delta)
-            evaluated = decrease = increase = gt_sigma = flat = 0
+            decrease = increase = gt_sigma = flat = 0
             dropped = missing
             for token, day in role_pairs:
                 before, after = prices.around(token, day, days)
                 if not before or not after:
                     dropped += 1
                     continue
-                evaluated += 1
                 if params.comparison == COMPARE_MEAN:
                     level_before, level_after = fmean(before), fmean(after)
                 else:
@@ -223,7 +225,6 @@ def coincidence_table(
                 else:
                     flat += 1
             cells[(role, delta)] = CoincidenceCell(
-                evaluated=evaluated,
                 decrease=decrease,
                 increase=increase,
                 increase_gt_sigma=gt_sigma,

@@ -14,15 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tangled_string import (
+    EvalParams,
+    LayoutParams,
     RegimeSpec,
     SyntheticSpec,
     TangleParams,
     emit_json,
+    from_plain,
     generate_synthetic,
+    key_pill_events,
     schema_text,
     tangle,
 )
-from tangled_string.cli import cli_main
+from tangled_string.cli import MAX_RANGE_WIDTHS, build_parser, cli_main
 
 from dot_checker import parse_dot
 from eval_scenario import pure_step_prices, week
@@ -271,6 +275,34 @@ def test_sweep_writes_documents_and_summary(tmp_path, capsys):
     assert summary[3] == "7,1,11.000,14.000"
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--key-events", "0", "k must be >= 1, got 0"),
+     ("--windows", "0..3", "windows must all be >= 1"),
+     ("--windows", ",", "windows must be non-empty"),
+     # refused before a width is allocated: no MemoryError, no OverflowError
+     ("--windows", "1..1000000000000", f"at most {MAX_RANGE_WIDTHS} widths"),
+     ("--windows", "1.." + "9" * 30, f"at most {MAX_RANGE_WIDTHS} widths")],
+)
+def test_sweep_options_are_checked_when_parsed(tmp_path, capsys, option, value, message):
+    out_dir = tmp_path / "sweep"
+    code = cli_main(["sweep", "--input", demo_csv(tmp_path), "--windows", "6",
+                     "--out-dir", str(out_dir), option, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"usage error: tangled sweep: argument {option}: " in err
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_window_range_limit_is_inclusive(tmp_path, capsys):
+    argv = ["sweep", "--input", str(tmp_path / "missing.csv"), "--windows"]
+    widest = build_parser().parse_args([*argv, f"1..{MAX_RANGE_WIDTHS}"]).windows
+    assert widest == tuple(range(1, MAX_RANGE_WIDTHS + 1))
+    assert cli_main([*argv, f"1..{MAX_RANGE_WIDTHS + 1}"]) == 1
+    assert f"at most {MAX_RANGE_WIDTHS} widths" in capsys.readouterr().err
+
+
 def test_sweep_range_syntax(tmp_path):
     out_dir = tmp_path / "sweep"
     code = cli_main(
@@ -402,7 +434,11 @@ def test_horizon_that_rounds_to_no_days_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option, value", [("--windows", "0,2"), ("--deltas", "x")])
+@pytest.mark.parametrize(
+    "option, value",
+    [("--windows", "0,2"), ("--deltas", "x"), ("--windows", ","),
+     ("--windows", "1..1000000000000")],
+)
 def test_eval_options_are_checked_when_parsed(tmp_path, capsys, option, value):
     code = cli_main(["eval", *GOLDEN_EVAL, option, value])
     assert code == 1
@@ -700,6 +736,74 @@ def test_stretch_options_are_checked_when_parsed(tmp_path, capsys, option, value
     code = cli_main(["layout", "--input", demo_csv(tmp_path), "--window", "6", option, value])
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def _key_events_rule(k):
+    key_pill_events(tangle(from_plain(DEMO), TangleParams(6, "plain")), k)
+
+
+def _windows_rule(width):
+    EvalParams(windows=(width,))
+
+
+# each numeric option, the cast its text takes, and the library rule that takes the value
+NUMERIC_OPTIONS = [
+    pytest.param("tangle", "--window", int, TangleParams, id="tangle--window"),
+    pytest.param("tangle", "--key-events", int, _key_events_rule, id="tangle--key-events"),
+    pytest.param("sweep", "--key-events", int, _key_events_rule, id="sweep--key-events"),
+    pytest.param("layout", "--extension-a", float, lambda a: LayoutParams(a=a),
+                 id="layout--extension-a"),
+    pytest.param("layout", "--stretch-iterations", int,
+                 lambda n: LayoutParams(stretch_iterations=n), id="layout--stretch-iterations"),
+    pytest.param("layout", "--stretch-step", float, lambda step: LayoutParams(stretch_step=step),
+                 id="layout--stretch-step"),
+    pytest.param("sweep", "--windows", int, _windows_rule, id="sweep--windows"),
+    pytest.param("eval", "--windows", int, _windows_rule, id="eval--windows"),
+    pytest.param("eval", "--deltas", float, lambda d: EvalParams(deltas_months=(d,)),
+                 id="eval--deltas"),
+]
+
+
+def _refusal(cast, rule, text):
+    """None if ``rule`` takes ``text`` cast, else the message the CLI should quote.
+
+    That is the rule's own message, or "" for text that is no number of the
+    option's kind (the CLI words that one itself).
+    """
+    try:
+        value = cast(text)
+    except ValueError:
+        return ""
+    try:
+        rule(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-1", "1e-300", "nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("command, option, cast, rule", NUMERIC_OPTIONS)
+def test_option_is_refused_exactly_when_the_library_refuses_it(
+    tmp_path, capsys, command, option, cast, rule, value
+):
+    refusal = _refusal(cast, rule, value)
+    # a refused value is reported before the (here missing) input files are opened
+    folder = GOLDEN if refusal is None else tmp_path
+    needed = {
+        "tangle": ["--window", "3"],
+        "layout": ["--window", "3"],
+        "sweep": ["--windows", "3", "--out-dir", str(tmp_path / "sweep")],
+        "eval": ["--prices", str(folder / "eval_prices.csv")],
+    }[command]
+    out = [] if command == "sweep" else ["--out", str(tmp_path / "out")]
+    code = cli_main([command, "--input", str(folder / "synth.csv"), *needed, *out,
+                     f"{option}={value}"])
+    err = capsys.readouterr().err
+    if refusal is None:
+        assert code == 0, err
+    else:
+        assert code == 1
+        assert f"usage error: tangled {command}: argument {option}: {refusal}" in err
 
 
 @pytest.mark.parametrize(
