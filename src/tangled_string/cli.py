@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +46,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option looks like a number: read "-1e-3" and "-inf" as values, like "-1"
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     # argparse would sys.exit(2); route usage problems to exit code 1 instead
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")

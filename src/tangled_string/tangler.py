@@ -7,14 +7,12 @@ trend region: the covered events are merged into a *pill*, and the distance
 ``i - j`` is added to the earlier event's pill weight.  Events never swept
 into a pill remain on the *wire*, the thread connecting consecutive pills.
 
-Two window rules exist:
-
-* ``plain``  — the window is the ``W`` events immediately preceding the
-  current one.  Baskets are ignored.
-* ``basket`` — the window is every event in the ``W`` baskets up to and
-  including the current event's basket, restricted to events strictly
-  before it.  On a match, the whole basket of each endpoint joins the pill,
-  so pills stay aligned to basket boundaries.
+The window is every event in the ``W`` baskets up to and including the
+current event's basket, restricted to events strictly before it.  On a
+match, the whole basket of each endpoint joins the pill, so pills stay
+aligned to basket boundaries.  The ``plain`` variant ignores baskets: its
+window is the ``W`` events immediately preceding the current one, which is
+this rule at ``W + 1`` over one-event baskets.
 
 Each pill records its span endpoints (first/last member) and its revisit
 endpoints: the entrance is the earlier event of the chronologically first
@@ -37,7 +35,7 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .sequence import BasketSequence, Token
 
@@ -50,20 +48,19 @@ EXIT = "exit"
 
 @dataclass(frozen=True)
 class TangleParams:
-    """Window width (``window_w`` >= 1) and window rule (plain or basket)."""
+    """Window width (``window_w``, an int >= 1) and window rule (plain or basket)."""
 
     window_w: int
     variant: str = BASKET
 
     def __post_init__(self):
-        if self.window_w < 1:
-            raise ValueError(f"window_w must be >= 1, got {self.window_w}")
+        if type(self.window_w) is not int or self.window_w < 1:
+            raise ValueError(f"window_w must be an int >= 1, got {self.window_w!r}")
         if self.variant not in (PLAIN, BASKET):
             raise ValueError(f"variant must be '{PLAIN}' or '{BASKET}', got {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """A backward hit: event ``later`` revisited the token of ``earlier``."""
 
     earlier: int
@@ -157,10 +154,13 @@ def _scan(
     """
     tokens = seq.tokens
     window = params.window_w
-    plain = params.variant == PLAIN
     basket_of = seq.basket_membership
     # basket k holds events bounds[k] .. bounds[k + 1] - 1
     bounds = (*seq.basket_starts, len(seq))
+    if params.variant == PLAIN:  # the basket rule at W + 1 over one-event baskets
+        window += 1
+        if seq.basket_count < len(seq):  # tuples: the loop indexes a range slower
+            basket_of = bounds = tuple(range(len(seq) + 1))
 
     occurrences: dict[Token, deque[int]] = defaultdict(deque)
     matches: list[Match] = []
@@ -170,8 +170,8 @@ def _scan(
     # match of a builder comes before every match of the builders above
     # it, so a merge takes the entrance of the deepest builder it pops
     # (the last one), or ``j`` if it pops none.  No builder ends after
-    # ``high``: it is ``i`` (plain) or the end of ``i``'s basket, and
-    # every earlier match ended at or before that.
+    # ``high``, the end of ``i``'s basket: every earlier match ended at or
+    # before it.
     builders: list[tuple[int, int, int, int]] = []
 
     start = 0
@@ -180,19 +180,13 @@ def _scan(
             token = tokens[i]
             recent = occurrences[token]
             if recent:
-                if plain:
-                    floor = i - window
-                else:
-                    k = basket_of[i]
-                    floor = bounds[k - window + 1] if k >= window else 0
+                k = basket_of[i]
+                floor = bounds[k - window + 1] if k >= window else 0
                 while recent and recent[0] < floor:
                     recent.popleft()
             if recent:
                 j = recent[0]
-                if plain:
-                    low, high = j, i
-                else:
-                    low, high = bounds[basket_of[j]], bounds[k + 1] - 1
+                low, high = bounds[basket_of[j]], bounds[k + 1] - 1
                 entrance = j
                 while builders and builders[-1][1] >= low:
                     first, _, entrance, _ = builders.pop()

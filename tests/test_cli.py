@@ -738,6 +738,17 @@ def test_stretch_options_are_checked_when_parsed(tmp_path, capsys, option, value
     assert "usage error" in capsys.readouterr().err
 
 
+def test_negative_value_apart_from_its_option_writes_the_same_bytes(tmp_path):
+    outputs = []
+    for given_value in (["--extension-a", "-1e-3"], ["--extension-a=-1e-3"]):
+        out = tmp_path / f"layout{len(outputs)}.json"
+        code = cli_main(["layout", "--input", str(GOLDEN / "demo.csv"), "--window", "6",
+                         *given_value, "--out", str(out)])
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def _key_events_rule(k):
     key_pill_events(tangle(from_plain(DEMO), TangleParams(6, "plain")), k)
 
@@ -781,10 +792,13 @@ def _refusal(cast, rule, text):
     return None
 
 
-@pytest.mark.parametrize("value", ["0", "1", "-1", "1e-300", "nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("joined", [True, False], ids=["joined", "apart"])
+@pytest.mark.parametrize(
+    "value", ["0", "1", "-1", "1e-300", "-1e-3", "nan", "inf", "-inf", "abc"]
+)
 @pytest.mark.parametrize("command, option, cast, rule", NUMERIC_OPTIONS)
 def test_option_is_refused_exactly_when_the_library_refuses_it(
-    tmp_path, capsys, command, option, cast, rule, value
+    tmp_path, capsys, command, option, cast, rule, value, joined
 ):
     refusal = _refusal(cast, rule, value)
     # a refused value is reported before the (here missing) input files are opened
@@ -796,8 +810,9 @@ def test_option_is_refused_exactly_when_the_library_refuses_it(
         "eval": ["--prices", str(folder / "eval_prices.csv")],
     }[command]
     out = [] if command == "sweep" else ["--out", str(tmp_path / "out")]
-    code = cli_main([command, "--input", str(folder / "synth.csv"), *needed, *out,
-                     f"{option}={value}"])
+    # a negative number is a value even apart from its option: "--option -1e-3"
+    given_value = [f"{option}={value}"] if joined else [option, value]
+    code = cli_main([command, "--input", str(folder / "synth.csv"), *needed, *out, *given_value])
     err = capsys.readouterr().err
     if refusal is None:
         assert code == 0, err

@@ -61,16 +61,18 @@ def test_saturation_window_is_sufficient(case):
 
 
 @settings(deadline=None)
-@given(
-    st.lists(st.integers(0, 9).map(str), min_size=1, max_size=50),
-    st.integers(1, 10),
-)
-def test_plain_equals_basket_with_one_extra(tokens, window):
-    seq = from_plain(tokens)
+@given(tangle_cases())
+def test_plain_equals_basket_with_one_extra(case):
+    # plain ignores baskets: W events back is W + 1 one-event baskets back
+    seq, params = case
+    window = params.window_w
     plain = tangle(seq, TangleParams(window, PLAIN))
-    basket = tangle(seq, TangleParams(window + 1, BASKET))
-    assert plain.pills == basket.pills
+    basket = tangle(from_plain(seq.tokens), TangleParams(window + 1, BASKET))
     assert plain.matches == basket.matches
+    assert plain.pills == basket.pills
+    assert plain.pill_weight == basket.pill_weight
+    assert plain.wire_weight == basket.wire_weight
+    assert plain.wire_events == basket.wire_events
 
 
 def test_demo_saturates_at_nine():

@@ -87,6 +87,17 @@ def test_match_list_at_window_6():
     assert plain_result(6).matches[0] == Match(earlier=1, later=3)
 
 
+def test_match_is_a_read_only_named_pair():
+    match = Match(earlier=1, later=3)
+    assert repr(match) == "Match(earlier=1, later=3)"
+    assert (match.earlier, match.later) == (1, 3)
+    with pytest.raises(AttributeError):
+        match.earlier = 2
+    matches = plain_result(6).matches
+    assert type(matches) is tuple
+    assert all(type(m) is Match for m in matches)
+
+
 def test_window_5_gives_same_pills_as_window_6():
     # every revisit distance in the demo string is at most 5
     assert as_tuples(plain_result(5)) == as_tuples(plain_result(6))
@@ -192,6 +203,9 @@ def test_params_validation():
         TangleParams(0)
     with pytest.raises(ValueError):
         TangleParams(3, "weekly")
+    for width in (2.5, True):
+        with pytest.raises(ValueError, match="window_w must be an int >= 1"):
+            TangleParams(width)
 
 
 # -------------------------------------------------------------- basket window
