@@ -65,8 +65,9 @@ class EvalParams:
     def __post_init__(self):
         if not self.windows:
             raise ValueError("windows must be non-empty")
-        if any(w < 1 for w in self.windows):
-            raise ValueError("windows must all be >= 1")
+        for w in self.windows:
+            if type(w) is not int or w < 1:
+                raise ValueError(f"every window must be an int >= 1, got {w!r}")
         if not self.deltas_months:
             raise ValueError("deltas_months must be non-empty")
         # half a week or less rounds to a 0-day window; months_to_days(-inf) overflows

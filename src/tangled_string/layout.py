@@ -4,13 +4,14 @@ Events are laid out one by one: matched events land exactly on the event
 they revisited (that is what makes pills visible as knots), and unmatched
 events extrapolate the previous step.  A second, optional pass relaxes the
 picture like a pulled string: consecutive events are connected by
-unit-rest-length springs, distinct knots repel gently, and the endpoints
-of the whole sequence are pinned.
+unit-rest-length springs, nearby distinct knots repel gently, and the
+endpoints of the whole sequence are pinned.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,6 +21,7 @@ from .tangler import TangleResult
 _TURN = math.pi / 12  # 15 degrees, used when extrapolation degenerates
 _REPULSION = 0.25
 _FORCE_CAP = 4.0
+_CUTOFF = 10.0  # groups this far apart or more do not repel; the push there is 0.0025
 
 Position = tuple[float, float]
 
@@ -35,8 +37,10 @@ class LayoutParams:
     def __post_init__(self):
         if not math.isfinite(self.a):
             raise ValueError(f"a must be finite, got {self.a}")
-        if self.stretch_iterations < 0:
-            raise ValueError("stretch_iterations must be >= 0")
+        if type(self.stretch_iterations) is not int or self.stretch_iterations < 0:
+            raise ValueError(
+                f"stretch_iterations must be an int >= 0, got {self.stretch_iterations!r}"
+            )
         if not (math.isfinite(self.stretch_step) and self.stretch_step > 0):
             raise ValueError("stretch_step must be positive and finite")
 
@@ -141,12 +145,19 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
     """Relax ``layout`` while preserving every shared-position identity.
 
     Groups move as rigid points: consecutive-event links act as springs
-    with rest length 1, non-adjacent groups repel with a capped
-    inverse-square push, and the groups holding the global first and last
-    events stay pinned.  Runs ``params.stretch_iterations`` deterministic
-    steps of size ``params.stretch_step``; zero iterations is the identity.
-    A step so large that a coordinate is no longer finite raises a
-    ValueError naming ``stretch_step``.
+    with rest length 1, non-adjacent groups closer than 10 units repel
+    with a capped inverse-square push (0.0025 at that cutoff, none beyond
+    it), and the groups holding the global first and last events stay
+    pinned.  Runs ``params.stretch_iterations`` deterministic steps of size
+    ``params.stretch_step``; zero iterations is the identity.  A layout
+    with a non-finite coordinate raises a ValueError; so does a step so
+    large that a coordinate stops being finite, naming ``stretch_step``.
+
+    Each step buckets the groups into a grid of 10-unit cells and compares
+    a group only with those in its own and the eight adjacent cells, so a
+    step costs time proportional to the groups plus the pairs of groups
+    closer than 10 units, not to all pairs.  Groups piled on one point
+    are still compared pair by pair.
     """
     if params.stretch_iterations == 0:
         return layout
@@ -154,6 +165,8 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
     groups, group_ids = layout.shared_position_groups, layout.group_ids
     count = len(groups)
     coords = [list(layout.positions[group[0]]) for group in groups]
+    if not all(math.isfinite(c) for point in coords for c in point):
+        raise ValueError("the layout to stretch has a non-finite position")
     pinned = {group_ids[0], group_ids[-1]}
 
     springs: list[tuple[int, int]] = []
@@ -163,6 +176,7 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
             springs.append((a, b))
             linked.add((min(a, b), max(a, b)))
 
+    reach = _CUTOFF * _CUTOFF
     for _ in range(params.stretch_iterations):
         forces = [[0.0, 0.0] for _ in range(count)]
         for a, b in springs:
@@ -178,22 +192,42 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
             forces[a][1] += pull * uy
             forces[b][0] -= pull * ux
             forces[b][1] -= pull * uy
+        cell_of = [(math.floor(x / _CUTOFF), math.floor(y / _CUTOFF)) for x, y in coords]
+        cells: dict[tuple[int, int], list[int]] = {}
+        for gid, cell in enumerate(cell_of):
+            cells.setdefault(cell, []).append(gid)
+        # a group's pushes are summed in ascending id of the other group, as
+        # over all pairs, so the result only differs by the pairs cut off
+        neighbours: dict[tuple[int, int], list[int]] = {}
         for a in range(count):
-            for b in range(a + 1, count):
-                if (a, b) in linked:
+            cell = cell_of[a]
+            near = neighbours.get(cell)
+            if near is None:
+                cx, cy = cell
+                near = neighbours[cell] = sorted(
+                    b
+                    for i in (-1, 0, 1)
+                    for j in (-1, 0, 1)
+                    for b in cells.get((cx + i, cy + j), ())
+                )
+            ax, ay = coords[a]
+            force_a = forces[a]
+            for b in near[bisect_right(near, a):]:
+                bx, by = coords[b]
+                dx, dy = bx - ax, by - ay
+                if dx * dx + dy * dy >= reach or (a, b) in linked:
                     continue
-                dx = coords[b][0] - coords[a][0]
-                dy = coords[b][1] - coords[a][1]
                 dist = math.hypot(dx, dy)
                 if dist > 1e-12:
                     ux, uy = dx / dist, dy / dist
                 else:
                     ux, uy = 1.0, 0.0
                 push = min(_REPULSION / max(dist * dist, 1e-6), _FORCE_CAP)
-                forces[a][0] -= push * ux
-                forces[a][1] -= push * uy
-                forces[b][0] += push * ux
-                forces[b][1] += push * uy
+                force_a[0] -= push * ux
+                force_a[1] -= push * uy
+                force_b = forces[b]
+                force_b[0] += push * ux
+                force_b[1] += push * uy
         for gid in range(count):
             if gid in pinned:
                 continue

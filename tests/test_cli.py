@@ -278,7 +278,7 @@ def test_sweep_writes_documents_and_summary(tmp_path, capsys):
 @pytest.mark.parametrize(
     "option, value, message",
     [("--key-events", "0", "k must be >= 1, got 0"),
-     ("--windows", "0..3", "windows must all be >= 1"),
+     ("--windows", "0..3", "every window must be an int >= 1, got 0"),
      ("--windows", ",", "windows must be non-empty"),
      # refused before a width is allocated: no MemoryError, no OverflowError
      ("--windows", "1..1000000000000", f"at most {MAX_RANGE_WIDTHS} widths"),

@@ -236,8 +236,9 @@ def test_table_dict_lists_each_cell_once_in_order():
 def test_eval_params_validation():
     with pytest.raises(ValueError):
         EvalParams(windows=())
-    with pytest.raises(ValueError):
-        EvalParams(windows=(0,))
+    for width in (0, 2.5, True):
+        with pytest.raises(ValueError, match="every window must be an int >= 1"):
+            EvalParams(windows=(3, width))
     # 0.1 months rounds to a 0-day window
     for delta in (-3, 0, 0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):

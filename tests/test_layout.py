@@ -137,8 +137,9 @@ def test_stretch_is_deterministic():
 
 
 def test_layout_params_validation():
-    with pytest.raises(ValueError):
-        LayoutParams(stretch_iterations=-1)
+    for count in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="stretch_iterations must be an int >= 0"):
+            LayoutParams(stretch_iterations=count)
     with pytest.raises(ValueError):
         LayoutParams(stretch_step=0.0)
     for value in (math.nan, math.inf, -math.inf):
@@ -161,6 +162,18 @@ def test_oversized_stretch_step_is_refused():
     params = LayoutParams(stretch_iterations=5, stretch_step=1e200)
     with pytest.raises(ValueError, match="stretch_step"):
         stretch(layout, params)
+
+
+def test_stretch_refuses_a_non_finite_layout():
+    # the grid cell of such a point is no integer
+    for bad in (math.inf, math.nan):
+        layout = LayoutResult(
+            {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (bad, 0.0), 3: (3.0, 0.0)},
+            ((0,), (1,), (2,), (3,)),
+            (0, 1, 2, 3),
+        )
+        with pytest.raises(ValueError, match="non-finite position"):
+            stretch(layout, LayoutParams(stretch_iterations=1))
 
 
 def test_emit_json_never_writes_non_finite_numbers():
