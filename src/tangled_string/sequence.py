@@ -24,7 +24,9 @@ class BasketSequence:
 
     Stores the flattened token list plus enough indexing to answer both
     "which basket is event i in" and "which events make up basket k" in
-    constant time.
+    constant time.  When every basket holds one item, both indices are the
+    identity and are stored as one ``range``, so equal sequences compare
+    and hash alike however they were built.
     """
 
     __slots__ = ("_tokens", "_basket_of", "_basket_starts", "_time_labels")
@@ -58,8 +60,11 @@ class BasketSequence:
                     f"{len(labels)} time labels for {len(basket_starts)} baskets"
                 )
         self._tokens = tuple(tokens)
-        self._basket_of = tuple(basket_of)
-        self._basket_starts = tuple(basket_starts)
+        if len(basket_starts) == len(tokens):  # one item per basket: the identity
+            self._basket_of = self._basket_starts = range(len(tokens))
+        else:
+            self._basket_of = tuple(basket_of)
+            self._basket_starts = tuple(basket_starts)
         self._time_labels = labels
 
     # -- sizes ---------------------------------------------------------------
@@ -78,13 +83,19 @@ class BasketSequence:
         return self._tokens
 
     @property
-    def basket_membership(self) -> tuple[int, ...]:
-        """Per-event basket ordinal, parallel to ``tokens``."""
+    def basket_membership(self) -> Sequence[int]:
+        """Per-event basket ordinal, parallel to ``tokens``.
+
+        A ``range`` when every basket holds one item, else a tuple.
+        """
         return self._basket_of
 
     @property
-    def basket_starts(self) -> tuple[int, ...]:
-        """Flat index of the first event of each basket."""
+    def basket_starts(self) -> Sequence[int]:
+        """Flat index of the first event of each basket.
+
+        A ``range`` when every basket holds one item, else a tuple.
+        """
         return self._basket_starts
 
     @property
@@ -93,9 +104,9 @@ class BasketSequence:
 
     def baskets(self) -> Iterator[tuple[Token, ...]]:
         """The tokens of each basket, in order."""
-        bounds = self._basket_starts + (len(self._tokens),)
-        for k in range(self.basket_count):
-            yield self._tokens[bounds[k] : bounds[k + 1]]
+        tokens, starts = self._tokens, self._basket_starts
+        for start, end in zip(starts, (*starts[1:], len(tokens))):
+            yield tokens[start:end]
 
     def prefix(self, basket_count: int) -> "BasketSequence":
         """The sub-sequence made of the first ``basket_count`` baskets."""
@@ -121,8 +132,21 @@ class BasketSequence:
 
 
 def from_plain(tokens: Iterable[Token]) -> BasketSequence:
-    """Build a sequence with one single-item basket per token."""
-    return BasketSequence([t] for t in tokens)
+    """Build a sequence with one single-item basket per token.
+
+    Equal to ``BasketSequence([t] for t in tokens)``, without building a
+    basket per token: the indices are one shared ``range``.
+    """
+    flat = tuple(map(str, tokens))
+    if not flat:
+        raise EmptySequenceError("sequence has no events")
+    if "" in flat:
+        raise ValueError(f"empty token in basket {flat.index('')}")
+    seq = object.__new__(BasketSequence)
+    seq._tokens = flat
+    seq._basket_of = seq._basket_starts = range(len(flat))
+    seq._time_labels = (None,) * len(flat)
+    return seq
 
 
 def from_baskets(

@@ -31,6 +31,7 @@ scan pausing at several boundaries answers for every such prefix.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -154,13 +155,15 @@ def _scan(
     """
     tokens = seq.tokens
     window = params.window_w
-    basket_of = seq.basket_membership
-    # basket k holds events bounds[k] .. bounds[k + 1] - 1
-    bounds = (*seq.basket_starts, len(seq))
     if params.variant == PLAIN:  # the basket rule at W + 1 over one-event baskets
         window += 1
-        if seq.basket_count < len(seq):  # tuples: the loop indexes a range slower
-            basket_of = bounds = tuple(range(len(seq) + 1))
+    # basket k holds events bounds[k] .. bounds[k + 1] - 1.  Over one-event
+    # baskets both indices are the identity, built once as a tuple: the
+    # loop indexes a range slower, and a plain sequence stores a range.
+    if params.variant == PLAIN or seq.basket_count == len(seq):
+        basket_of = bounds = tuple(range(len(seq) + 1))
+    else:
+        basket_of, bounds = seq.basket_membership, (*seq.basket_starts, len(seq))
 
     occurrences: dict[Token, deque[int]] = defaultdict(deque)
     matches: list[Match] = []
@@ -246,11 +249,11 @@ def _reported_before(
 
 
 def _top_k(weights: Mapping[int, int], k: int) -> list[tuple[int, int]]:
-    # heaviest first; ties broken toward the earlier event
+    # heaviest first, ties broken toward the earlier event: sorted(...)[:k]
+    # without sorting the rest
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    return heapq.nsmallest(k, weights.items(), key=lambda item: (-item[1], item[0]))
 
 
 def key_pill_events(result: TangleResult, k: int) -> list[KeyEvent]:

@@ -1,5 +1,7 @@
 """Sequence model: construction, indexing, round trips, errors."""
 
+import tracemalloc
+
 import pytest
 
 from tangled_string import (
@@ -75,7 +77,7 @@ def test_empty_token_error_names_its_basket():
 def test_plain_accepts_a_generator_of_any_tokens():
     seq = from_plain(t for t in [1, "b", 2.5])
     assert seq.tokens == ("1", "b", "2.5")
-    assert seq.basket_starts == (0, 1, 2)
+    assert tuple(seq.basket_starts) == (0, 1, 2)
 
 
 def test_time_label_count_must_match():
@@ -100,3 +102,29 @@ def test_equality_and_repr():
     assert a == b and hash(a) == hash(b)
     assert a != from_baskets([["x", "y"]])
     assert "events=2" in repr(a)
+
+
+@pytest.mark.parametrize("tokens", [["x"], ["a", "b", "a"], [1, "b", 2.5, 1, None]])
+def test_plain_equals_one_item_baskets(tokens):
+    plain = from_plain(tokens)
+    built = BasketSequence([t] for t in tokens)
+    assert plain == built and hash(plain) == hash(built)
+    assert plain.tokens == tuple(map(str, tokens))
+    assert tuple(plain.basket_membership) == tuple(range(len(tokens)))
+    assert list(plain.baskets()) == [(str(t),) for t in tokens]
+    for k in range(1, len(tokens) + 2):
+        assert plain.prefix(k) == from_plain(tokens[:k])
+
+
+def test_plain_build_stores_no_per_token_index():
+    # the tokens and labels tuples take 1.5 MB each; per-token index
+    # tuples and baskets took the build to 21 MB
+    tokens = [str(i % 1000) for i in range(200_000)]
+    tracemalloc.start()
+    try:
+        seq = from_plain(tokens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == len(tokens)
+    assert peak < 4 * 2**20, peak

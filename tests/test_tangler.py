@@ -1,6 +1,7 @@
 """Core tangler behaviour, pinned with hand-traced expectations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tangled_string import (
     ENTRANCE,
@@ -16,6 +17,7 @@ from tangled_string import (
     sweep,
     tangle,
 )
+from tangled_string.tangler import _top_k
 from naive_reference import naive_tangle
 from seqgen import random_case
 
@@ -151,6 +153,20 @@ def test_key_events_reject_bad_k():
         key_pill_events(result, 0)
     with pytest.raises(ValueError):
         key_wire_events(result, -1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    weights=st.dictionaries(st.integers(0, 300), st.integers(0, 3), max_size=30),
+    data=st.data(),
+)
+def test_top_k_is_the_head_of_the_full_ranking(weights, data):
+    # few distinct weights, so most ranks are decided by the tie-break
+    k = data.draw(st.integers(1, len(weights) + 2))
+    ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
+    assert _top_k(weights, k) == ranked[:k]
+    with pytest.raises(ValueError):
+        _top_k(weights, data.draw(st.integers(-2, 0)))
 
 
 def test_change_points_window_6():
