@@ -22,6 +22,7 @@ from .errors import (
     EmptyEvaluationError,
     EmptySequenceError,
     ParseError,
+    check_count,
 )
 from .evaluator import (
     COMPARE_ENDPOINT,
@@ -220,22 +221,13 @@ def _load_synth_spec(path: str, seed_override: int | None) -> SyntheticSpec:
         raw = _parse_file(path, json.load)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    # each spec checks its own fields; an unknown key or a non-object is a TypeError
     try:
-        regimes = tuple(
-            RegimeSpec(
-                vocabulary=tuple(str(t) for t in regime["vocabulary"]),
-                length_baskets=int(regime["length_baskets"]),
-                **_given(regime, repeat_rate=float),
-            )
-            for regime in raw["regimes"]
-        )
-        # SyntheticSpec checks a start_date string itself
-        fields = _given(
-            raw, noise_rate=float, seed=int, basket_size=int, start_date=lambda date: date
-        )
+        fields = _tupled(raw)
+        fields["regimes"] = tuple(RegimeSpec(**_tupled(regime)) for regime in raw["regimes"])
         if seed_override is not None:
             fields["seed"] = seed_override
-        spec = SyntheticSpec(regimes=regimes, **fields)
+        spec = SyntheticSpec(**fields)
         if spec.start_date is None:
             # undated rows are not a basket file tangle can read
             raise ValueError("start_date must be a date, not null")
@@ -244,12 +236,9 @@ def _load_synth_spec(path: str, seed_override: int | None) -> SyntheticSpec:
         raise ParseError(f"bad synthetic spec in {path}: {exc}") from None
 
 
-def _given(raw: dict, **casts) -> dict:
-    """The keys of ``raw`` named in ``casts``, each coerced by its cast.
-
-    Keys the file leaves out keep the dataclass defaults.
-    """
-    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+def _tupled(obj: dict) -> dict:
+    """The JSON object ``obj`` with its arrays as tuples; ``{**obj}`` refuses a non-object."""
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in {**obj}.items()}
 
 
 def _cmd_synth(args) -> int:
@@ -312,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("synth", help="generate seeded synthetic baskets")
     sub.add_argument("--spec", required=True, help="JSON recipe file")
-    sub.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    sub.add_argument("--seed", type=_checked_by(int, lambda seed: check_count("seed", seed, 0)),
+                     default=None, help="override the spec seed")
     sub.add_argument("--out", default=None, help="basket CSV (default stdout)")
     sub.add_argument("--boundaries-out", default=None, help="planted boundaries JSON")
     sub.set_defaults(handler=_cmd_synth)

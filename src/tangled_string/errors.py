@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and value rules shared across the package."""
 
 
 class TangledStringError(Exception):
@@ -35,3 +35,15 @@ class ParseError(TangledStringError):
 
 class EmptyEvaluationError(TangledStringError):
     """Raised when an evaluation is requested but no change points exist."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """The rule for every count: an int, not a bool, and at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_rate(name: str, value) -> None:
+    """The rule for every rate: a number, not a bool, in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from statistics import fmean, stdev
 from typing import Iterable, Mapping
 
-from .errors import EmptyEvaluationError
+from .errors import EmptyEvaluationError, check_count, check_rate
 from .ingest import PriceSeries, parse_date
 from .sequence import BasketSequence, Token, from_baskets
 from .tangler import (
@@ -66,13 +66,12 @@ class EvalParams:
         if not self.windows:
             raise ValueError("windows must be non-empty")
         for w in self.windows:
-            if type(w) is not int or w < 1:
-                raise ValueError(f"every window must be an int >= 1, got {w!r}")
+            TangleParams(w)  # the tangler's own window rule
         if not self.deltas_months:
             raise ValueError("deltas_months must be non-empty")
-        # half a week or less rounds to a 0-day window; months_to_days(-inf) overflows
+        # half a week or less rounds to a 0-day window; infinitely many weeks overflow
         for delta in self.deltas_months:
-            if not (math.isfinite(delta) and months_to_days(delta) > 0):
+            if not (math.isfinite(delta * WEEKS_PER_MONTH) and months_to_days(delta) > 0):
                 raise ValueError(
                     "deltas must all be positive and finite, and longer than half a week;"
                     f" got {delta}"
@@ -260,8 +259,7 @@ def tolerant_delay_check(
     causal, so one full scan plus one scan that pauses at every cut gives
     the same records as re-tangling each prefix, in O(L + C log L).
     """
-    if dt_baskets < 0:
-        raise ValueError("dt_baskets must be >= 0")
+    check_count("dt_baskets", dt_baskets, 0)
     full = change_points(tangle(seq, params))
     bounds = (*seq.basket_starts, len(seq))
     # change points come in basket order, so the cuts are nondecreasing
@@ -279,19 +277,20 @@ def tolerant_delay_check(
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """One regime: its token vocabulary, length and within-regime repeat rate."""
+    """One regime: its ``vocabulary`` (a non-empty sequence of non-empty ``str``,
+    not one ``str``), its length ``length_baskets`` (an int >= 1) and its
+    within-regime ``repeat_rate`` (a number in [0, 1])."""
 
     vocabulary: tuple[str, ...]
     length_baskets: int
     repeat_rate: float = 0.6
 
     def __post_init__(self):
-        if not self.vocabulary or not all(self.vocabulary):
-            raise ValueError("vocabulary must be non-empty, of non-empty tokens")
-        if self.length_baskets < 1:
-            raise ValueError("length_baskets must be >= 1")
-        if not 0.0 <= self.repeat_rate <= 1.0:
-            raise ValueError("repeat_rate must be in [0, 1]")
+        vocab = self.vocabulary
+        if isinstance(vocab, str) or not vocab or not all(isinstance(t, str) and t for t in vocab):
+            raise ValueError(f"vocabulary must be non-empty, of non-empty str; got {vocab!r}")
+        check_count("length_baskets", self.length_baskets, 1)
+        check_rate("repeat_rate", self.repeat_rate)
 
 
 @dataclass(frozen=True)
@@ -302,7 +301,9 @@ class SyntheticSpec:
     ``repeat_rate`` a slot repeats an item of the previous basket of the
     same regime, which is what creates pills.  ``noise_rate`` swaps the
     drawn item for one from the global vocabulary.  ``start_date`` dates
-    the baskets weekly (None leaves them undated).
+    the baskets weekly (None leaves them undated).  Types: ``regimes`` a
+    non-empty tuple of :class:`RegimeSpec`, ``noise_rate`` a number in [0, 1],
+    ``seed`` an int >= 0, ``basket_size`` an int >= 1, ``start_date`` a date ``str``.
     """
 
     regimes: tuple[RegimeSpec, ...]
@@ -314,10 +315,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.regimes:
             raise ValueError("at least one regime is required")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError("noise_rate must be in [0, 1]")
-        if self.basket_size < 1:
-            raise ValueError("basket_size must be >= 1")
+        check_rate("noise_rate", self.noise_rate)
+        check_count("seed", self.seed, 0)
+        check_count("basket_size", self.basket_size, 1)
         if self.start_date is not None:
             if not isinstance(self.start_date, str):
                 raise TypeError(f"start_date must be a date string, got {self.start_date!r}")
@@ -395,8 +395,7 @@ def score_detection(
     boundary on a tie).  Empty detection lists score precision 1.0 with
     zero matches.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    check_count("tolerance", tolerance, 0)
     hits = 0
     detections = sorted(detected)
     remaining = sorted(planted)

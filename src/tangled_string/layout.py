@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import check_count
 from .sequence import BasketSequence
 from .tangler import TangleResult
 
@@ -37,10 +38,7 @@ class LayoutParams:
     def __post_init__(self):
         if not math.isfinite(self.a):
             raise ValueError(f"a must be finite, got {self.a}")
-        if type(self.stretch_iterations) is not int or self.stretch_iterations < 0:
-            raise ValueError(
-                f"stretch_iterations must be an int >= 0, got {self.stretch_iterations!r}"
-            )
+        check_count("stretch_iterations", self.stretch_iterations, 0)
         if not (math.isfinite(self.stretch_step) and self.stretch_step > 0):
             raise ValueError("stretch_step must be positive and finite")
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .errors import check_count
 from .sequence import BasketSequence, Token
 
 PLAIN = "plain"
@@ -55,8 +56,7 @@ class TangleParams:
     variant: str = BASKET
 
     def __post_init__(self):
-        if type(self.window_w) is not int or self.window_w < 1:
-            raise ValueError(f"window_w must be an int >= 1, got {self.window_w!r}")
+        check_count("window_w", self.window_w, 1)
         if self.variant not in (PLAIN, BASKET):
             raise ValueError(f"variant must be '{PLAIN}' or '{BASKET}', got {self.variant!r}")
 
@@ -251,8 +251,7 @@ def _reported_before(
 def _top_k(weights: Mapping[int, int], k: int) -> list[tuple[int, int]]:
     # heaviest first, ties broken toward the earlier event: sorted(...)[:k]
     # without sorting the rest
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     return heapq.nsmallest(k, weights.items(), key=lambda item: (-item[1], item[0]))
 
 

@@ -277,8 +277,8 @@ def test_sweep_writes_documents_and_summary(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "option, value, message",
-    [("--key-events", "0", "k must be >= 1, got 0"),
-     ("--windows", "0..3", "every window must be an int >= 1, got 0"),
+    [("--key-events", "0", "k must be an int >= 1, got 0"),
+     ("--windows", "0..3", "window_w must be an int >= 1, got 0"),
      ("--windows", ",", "windows must be non-empty"),
      # refused before a width is allocated: no MemoryError, no OverflowError
      ("--windows", "1..1000000000000", f"at most {MAX_RANGE_WIDTHS} widths"),
@@ -434,6 +434,15 @@ def test_horizon_that_rounds_to_no_days_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_horizon_of_infinitely_many_weeks_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "eval.csv"
+    code = cli_main(["eval", *GOLDEN_EVAL, "--deltas", "1e308", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error: tangled eval: argument --deltas: deltas must all be positive" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("--windows", "0,2"), ("--deltas", "x"), ("--windows", ","),
@@ -532,6 +541,15 @@ def test_synth_seed_override(tmp_path):
     assert cli_main(["synth", "--spec", spec, "--out", str(out1)]) == 0
     assert cli_main(["synth", "--spec", spec, "--seed", "99", "--out", str(out2)]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_negative_synth_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "synth.csv"
+    code = cli_main(["synth", "--spec", synth_spec(tmp_path), "--seed", "-1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error: tangled synth: argument --seed: seed must be an int >= 0, got -1" in err
+    assert not out.exists()
 
 
 def test_synth_output_feeds_back_into_tangle(tmp_path, capsys):
@@ -709,7 +727,16 @@ def test_undecodable_synth_spec_is_input_error(tmp_path, capsys):
      {"start_date": None},
      {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 0}]},
      {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 3, "repeat_rate": 1.5}]},
-     {"noise_rate": -0.1}, {"basket_size": 0}],
+     {"noise_rate": -0.1}, {"basket_size": 0},
+     # read exactly: no count is rounded, no number read from a string or a bool
+     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 2.7}]},
+     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": "12"}]},
+     {"basket_size": True}, {"seed": 1.9}, {"seed": "11"},
+     {"noise_rte": 0.1},
+     {"regimes": [{"vocabulary": ["a", "b"], "length_baskets": 3, "repeat_rte": 0.5}]},
+     {"regimes": [{"vocabulary": "abc", "length_baskets": 3}]},
+     {"regimes": [{"vocabulary": ["a", 7203], "length_baskets": 3}]},
+     {"regimes": [5]}],
 )
 def test_synth_bad_spec_values_are_input_errors(tmp_path, capsys, overrides):
     code = cli_main(["synth", "--spec", synth_spec(tmp_path, **overrides)])

@@ -237,10 +237,10 @@ def test_eval_params_validation():
     with pytest.raises(ValueError):
         EvalParams(windows=())
     for width in (0, 2.5, True):
-        with pytest.raises(ValueError, match="every window must be an int >= 1"):
+        with pytest.raises(ValueError, match="window_w must be an int >= 1"):
             EvalParams(windows=(3, width))
-    # 0.1 months rounds to a 0-day window
-    for delta in (-3, 0, 0.1, math.nan, math.inf, -math.inf):
+    # 0.1 months rounds to a 0-day window; 1e308 months is infinitely many weeks
+    for delta in (-3, 0, 0.1, math.nan, math.inf, -math.inf, 1e308):
         with pytest.raises(ValueError):
             EvalParams(deltas_months=(delta,))
     with pytest.raises(ValueError):
@@ -278,8 +278,9 @@ def test_delay_check_records_prefix_length():
 def test_delay_check_rejects_negative_tolerance():
     seq = from_plain(["A", "B", "A"])
     params = TangleParams(window_w=2, variant=PLAIN)
-    with pytest.raises(ValueError):
-        tolerant_delay_check(seq, params, -1)
+    for dt_baskets in (-1, 1.5):
+        with pytest.raises(ValueError, match="dt_baskets must be an int >= 0"):
+            tolerant_delay_check(seq, params, dt_baskets)
 
 
 # --------------------------------------------------------------- synthesis
@@ -357,6 +358,22 @@ def test_synthetic_requires_regimes():
         generate_synthetic(SyntheticSpec(regimes=()))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 2.5),)),
+     lambda: SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 3),), basket_size=2.5),
+     lambda: SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 3),), seed="x"),
+     lambda: SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 3),), noise_rate=True),
+     lambda: SyntheticSpec(regimes=(RegimeSpec(vocabulary="ab", length_baskets=3),)),
+     lambda: SyntheticSpec(regimes=(RegimeSpec(vocabulary=("a", 7), length_baskets=3),))],
+    ids=["length_baskets", "basket_size", "seed", "noise_rate", "str vocabulary",
+         "int token"],
+)
+def test_synthetic_spec_refuses_values_it_would_misread(build):
+    with pytest.raises(ValueError):
+        generate_synthetic(build())
+
+
 def test_synthetic_last_basket_must_be_a_valid_date():
     three = (RegimeSpec(vocabulary=("a",), length_baskets=3),)
     seq, _ = generate_synthetic(SyntheticSpec(regimes=three, start_date="9999-12-17"))
@@ -405,6 +422,9 @@ def test_detection_prefers_nearest_then_earlier():
 def test_detection_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         score_detection(detected=[1], planted=[1], tolerance=-1)
+    # a NaN tolerance used to match everything: 1 match of 1 here
+    with pytest.raises(ValueError, match="tolerance must be an int >= 0"):
+        score_detection(detected=[1], planted=[100], tolerance=math.nan)
 
 
 def test_detection_score_fields():

@@ -153,6 +153,8 @@ def test_key_events_reject_bad_k():
         key_pill_events(result, 0)
     with pytest.raises(ValueError):
         key_wire_events(result, -1)
+    with pytest.raises(ValueError, match="k must be an int >= 1, got 2.5"):
+        key_pill_events(result, 2.5)
 
 
 @settings(deadline=None, max_examples=200)

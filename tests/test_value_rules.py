@@ -1,0 +1,21 @@
+"""Every count a parameter or spec dataclass takes is checked by the count rule."""
+
+import dataclasses
+
+import pytest
+
+from tangled_string import LayoutParams, RegimeSpec, SyntheticSpec, TangleParams
+
+REGIME = RegimeSpec(("a", "b"), 3)
+VALID = [TangleParams(3), LayoutParams(), REGIME, SyntheticSpec(regimes=(REGIME,))]
+
+
+@pytest.mark.parametrize("valid", VALID, ids=lambda valid: type(valid).__name__)
+def test_every_int_field_refuses_floats_and_bools(valid):
+    # the modules use postponed annotations, so a field's type is its source text
+    names = [field.name for field in dataclasses.fields(valid) if field.type in ("int", int)]
+    assert names
+    for name in names:
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+                dataclasses.replace(valid, **{name: value})
