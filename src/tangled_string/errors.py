@@ -1,5 +1,7 @@
 """Exception types and value rules shared across the package."""
 
+import math
+
 
 class TangledStringError(Exception):
     """Base class for all errors raised by this package."""
@@ -47,3 +49,9 @@ def check_rate(name: str, value) -> None:
     """The rule for every rate: a number, not a bool, in [0, 1]."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def check_number(name: str, value) -> None:
+    """The rule for every real number: an int or float, not a bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from statistics import fmean, stdev
 from typing import Iterable, Mapping
 
-from .errors import EmptyEvaluationError, check_count, check_rate
+from .errors import EmptyEvaluationError, check_count, check_number, check_rate
 from .ingest import PriceSeries, parse_date
 from .sequence import BasketSequence, Token, from_baskets
 from .tangler import (
@@ -29,7 +29,6 @@ from .tangler import (
     EXIT,
     ChangePoint,
     TangleParams,
-    _reported_before,
     change_points,
     sweep,
     tangle,
@@ -69,13 +68,17 @@ class EvalParams:
             TangleParams(w)  # the tangler's own window rule
         if not self.deltas_months:
             raise ValueError("deltas_months must be non-empty")
-        # half a week or less rounds to a 0-day window; infinitely many weeks overflow
+        # half a week or less rounds to a 0-day window; infinitely many weeks overflow.
+        # A number out of range gets this message; anything else, the number rule's
         for delta in self.deltas_months:
-            if not (math.isfinite(delta * WEEKS_PER_MONTH) and months_to_days(delta) > 0):
+            if isinstance(delta, (int, float)) and not (
+                math.isfinite(delta * WEEKS_PER_MONTH) and months_to_days(delta) > 0
+            ):
                 raise ValueError(
                     "deltas must all be positive and finite, and longer than half a week;"
                     f" got {delta}"
                 )
+            check_number("deltas_months", delta)
         if self.comparison not in (COMPARE_MEAN, COMPARE_ENDPOINT):
             raise ValueError(f"comparison must be '{COMPARE_MEAN}' or '{COMPARE_ENDPOINT}'")
 
@@ -255,21 +258,22 @@ def tolerant_delay_check(
 
     For every change point at basket ``t`` of the full run, the sequence
     is cut after basket ``t + dt_baskets``; the change point is stable if
-    a run on that prefix reports the same (event, role).  The scan is
-    causal, so one full scan plus one scan that pauses at every cut gives
-    the same records as re-tangling each prefix, in O(L + C log L).
+    a run on that prefix reports the same (event, role).  The full run
+    alone answers, in O(L): every exit is stable, and an entrance is
+    stable exactly when the cut keeps the basket of its *partner*, the
+    later end of the first match of the entrance's pill.
     """
     check_count("dt_baskets", dt_baskets, 0)
-    full = change_points(tangle(seq, params))
-    bounds = (*seq.basket_starts, len(seq))
-    # change points come in basket order, so the cuts are nondecreasing
-    keeps = [min(cp.basket_index + dt_baskets + 1, seq.basket_count) for cp in full]
-    ends = [bounds[keep] for keep in keeps]
-    stable = _reported_before(seq, params, full, ends)
-    return [
-        StabilityRecord(change_point=cp, prefix_baskets=keep, stable=flag)
-        for cp, keep, flag in zip(full, keeps, stable)
-    ]
+    result = tangle(seq, params)
+    partner: dict[int, int] = {}
+    for earlier, later in result.matches:
+        partner.setdefault(earlier, later)
+    records = []
+    for cp in change_points(result):
+        keep = min(cp.basket_index + dt_baskets + 1, seq.basket_count)
+        stable = cp.role == EXIT or seq.basket_membership[partner[cp.event_index]] < keep
+        records.append(StabilityRecord(change_point=cp, prefix_baskets=keep, stable=stable))
+    return records
 
 
 # -------------------------------------------------------------- synthetic data
@@ -315,12 +319,14 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.regimes:
             raise ValueError("at least one regime is required")
+        if not all(isinstance(regime, RegimeSpec) for regime in self.regimes):
+            raise ValueError(f"every regime must be a RegimeSpec, got {self.regimes!r}")
         check_rate("noise_rate", self.noise_rate)
         check_count("seed", self.seed, 0)
         check_count("basket_size", self.basket_size, 1)
         if self.start_date is not None:
             if not isinstance(self.start_date, str):
-                raise TypeError(f"start_date must be a date string, got {self.start_date!r}")
+                raise ValueError(f"start_date must be a date string, got {self.start_date!r}")
             weeks = sum(regime.length_baskets for regime in self.regimes) - 1
             if (datetime.date.max - parse_date(self.start_date)).days < 7 * weeks:
                 raise ValueError(

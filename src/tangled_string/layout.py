@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import check_count
+from .errors import check_count, check_number
 from .sequence import BasketSequence
 from .tangler import TangleResult
 
@@ -36,10 +36,10 @@ class LayoutParams:
     stretch_step: float = 0.05
 
     def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise ValueError(f"a must be finite, got {self.a}")
+        check_number("a", self.a)
         check_count("stretch_iterations", self.stretch_iterations, 0)
-        if not (math.isfinite(self.stretch_step) and self.stretch_step > 0):
+        check_number("stretch_step", self.stretch_step)
+        if self.stretch_step <= 0:
             raise ValueError("stretch_step must be positive and finite")
 
 

@@ -23,10 +23,12 @@ The scan keeps one deque of recent occurrence indices per token.  Window
 floors only ever move forward, so stale occurrences are dropped for good
 and the whole run costs O(L) regardless of W.
 
-The scan is causal, and in the basket variant a pill reaches at most to
-the end of its last match's basket.  So paused at a basket boundary, its
-state is exactly that of a run on the events before the boundary; one
-scan pausing at several boundaries answers for every such prefix.
+The scan is causal: a run on a prefix of whole baskets holds exactly the
+full run's matches that end inside it.  Pills only grow and a merge keeps
+the entrance of the deepest builder it pops, so the prefix reports an
+entrance exactly when it holds the first match of the entrance's pill,
+and an exit from the exit's own basket on: a later match in that basket
+would have merged into the pill and become its exit.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import heapq
 from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import check_count
 from .sequence import BasketSequence, Token
@@ -145,14 +147,10 @@ class TangleResult:
 
 
 def _scan(
-    seq: BasketSequence, params: TangleParams, stops: Iterable[int] = ()
-) -> Iterator[tuple[list[tuple], list[Match], dict[int, int]]]:
-    """The scan engine: run the events of ``seq`` in order.
-
-    Pauses before each event index in ``stops`` (nondecreasing) and once
-    at the end, yielding the live state ``(builders, matches,
-    pill_weight)``; it is valid until the generator is resumed.
-    """
+    seq: BasketSequence, params: TangleParams
+) -> tuple[list[tuple], list[Match], dict[int, int]]:
+    """The scan engine: run the events of ``seq`` in order and return
+    ``(builders, matches, pill_weight)``."""
     tokens = seq.tokens
     window = params.window_w
     if params.variant == PLAIN:  # the basket rule at W + 1 over one-event baskets
@@ -177,30 +175,27 @@ def _scan(
     # before it.
     builders: list[tuple[int, int, int, int]] = []
 
-    start = 0
-    for end in (*stops, len(tokens)):
-        for i in range(start, end):
-            token = tokens[i]
-            recent = occurrences[token]
-            if recent:
-                k = basket_of[i]
-                floor = bounds[k - window + 1] if k >= window else 0
-                while recent and recent[0] < floor:
-                    recent.popleft()
-            if recent:
-                j = recent[0]
-                low, high = bounds[basket_of[j]], bounds[k + 1] - 1
-                entrance = j
-                while builders and builders[-1][1] >= low:
-                    first, _, entrance, _ = builders.pop()
-                    if first < low:
-                        low = first
-                builders.append((low, high, entrance, i))
-                pill_weight[j] = pill_weight.get(j, 0) + (i - j)
-                matches.append(Match(j, i))
-            recent.append(i)
-        start = end
-        yield builders, matches, pill_weight
+    for i in range(len(tokens)):
+        token = tokens[i]
+        recent = occurrences[token]
+        if recent:
+            k = basket_of[i]
+            floor = bounds[k - window + 1] if k >= window else 0
+            while recent and recent[0] < floor:
+                recent.popleft()
+        if recent:
+            j = recent[0]
+            low, high = bounds[basket_of[j]], bounds[k + 1] - 1
+            entrance = j
+            while builders and builders[-1][1] >= low:
+                first, _, entrance, _ = builders.pop()
+                if first < low:
+                    low = first
+            builders.append((low, high, entrance, i))
+            pill_weight[j] = pill_weight.get(j, 0) + (i - j)
+            matches.append(Match(j, i))
+        recent.append(i)
+    return builders, matches, pill_weight
 
 
 def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
@@ -209,7 +204,7 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
     Deterministic: equal inputs give equal results, with matches resolved
     to the earliest same-token event inside the window.
     """
-    builders, matches, pill_weight = next(_scan(seq, params))
+    builders, matches, pill_weight = _scan(seq, params)
     pills = tuple(Pill(*builder) for builder in builders)
     wire_weight: dict[int, int] = {}
     wire_events: list[int] = []
@@ -230,22 +225,6 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
         wire_weight=wire_weight,
         matches=tuple(matches),
     )
-
-
-def _reported_before(
-    seq: BasketSequence, params: TangleParams, points: Iterable[ChangePoint], ends: Iterable[int]
-) -> Iterator[bool]:
-    """Whether a run on the events before ``ends[n]`` reports ``points[n]``.
-
-    Each end is a basket start or ``len(seq)``, and the ends are
-    nondecreasing; one scan pausing at every end answers all of them.  A
-    cut run reports an entrance or exit iff the pill in progress that
-    contains the event has it as that endpoint.
-    """
-    for cp, (builders, _, _) in zip(points, _scan(seq, params, ends)):
-        index = cp.event_index
-        number = bisect_right(builders, index, key=itemgetter(0)) - 1
-        yield number >= 0 and builders[number][2 if cp.role == ENTRANCE else 3] == index
 
 
 def _top_k(weights: Mapping[int, int], k: int) -> list[tuple[int, int]]:

@@ -1,20 +1,24 @@
 """The tolerant-delay check against its per-cut oracle, and its horizon.
 
-The library answers every cut with one scan that pauses at the cut
-points.  The oracle here is the direct reading of the definition: cut
-the sequence after basket ``t + dt``, tangle the prefix again and look
-for the same (event, role) among its change points.
+The library reads every cut off the full run alone.  The oracle here is
+the direct reading of the definition: cut the sequence after basket
+``t + dt``, tangle the prefix again and look for the same (event, role)
+among its change points.
 """
+
+import dataclasses
 
 import pytest
 
 from tangled_string import (
     BASKET,
+    EXIT,
     PLAIN,
     StabilityRecord,
     TangleParams,
     change_points,
     tangle,
+    tangler,
     tolerant_delay_check,
 )
 
@@ -41,6 +45,22 @@ def per_cut_delay_check(seq, params, dt_baskets, reports):
     return records
 
 
+def by_the_rule(seq, params, records):
+    """``records`` with each flag set by the rule: an exit is always stable, and
+    an entrance is stable iff the cut keeps the basket of its partner, the
+    later end of the first match of the entrance's pill."""
+    full = tangle(seq, params)
+    partner = {}
+    for match in full.matches:
+        partner.setdefault(full.pill_of(match.later), match.later)
+    ruled = []
+    for record in records:
+        cp = record.change_point
+        kept = seq.basket_membership[partner[full.pill_of(cp.event_index)]] < record.prefix_baskets
+        ruled.append(dataclasses.replace(record, stable=cp.role == EXIT or kept))
+    return ruled
+
+
 def horizon(params):
     """Delay, in baskets, after which no later match can move a change point."""
     return params.window_w if params.variant == PLAIN else params.window_w - 1
@@ -59,7 +79,17 @@ def test_delay_check_equals_per_cut_oracle(variant):
         reports = {}
         for dt in sorted({0, 1, max(h - 1, 0), h, 2 * h}):
             expected = per_cut_delay_check(seq, params, dt, reports)
+            assert by_the_rule(seq, params, expected) == expected, (seed, params, dt)
             assert tolerant_delay_check(seq, params, dt) == expected, (seed, params, dt)
+
+
+def test_delay_check_scans_once(monkeypatch):
+    calls = []
+    scan = tangler._scan
+    monkeypatch.setattr(tangler, "_scan", lambda *args: calls.append(args) or scan(*args))
+    seq, params = random_case(0)
+    assert tolerant_delay_check(seq, params, 0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("variant", [PLAIN, BASKET])

@@ -243,6 +243,9 @@ def test_eval_params_validation():
     for delta in (-3, 0, 0.1, math.nan, math.inf, -math.inf, 1e308):
         with pytest.raises(ValueError):
             EvalParams(deltas_months=(delta,))
+    for delta in ("3", True):
+        with pytest.raises(ValueError, match="deltas_months must be a finite number"):
+            EvalParams(deltas_months=(3, delta))
     with pytest.raises(ValueError):
         EvalParams(comparison="median")
 
@@ -365,9 +368,11 @@ def test_synthetic_requires_regimes():
      lambda: SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 3),), seed="x"),
      lambda: SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 3),), noise_rate=True),
      lambda: SyntheticSpec(regimes=(RegimeSpec(vocabulary="ab", length_baskets=3),)),
-     lambda: SyntheticSpec(regimes=(RegimeSpec(vocabulary=("a", 7), length_baskets=3),))],
+     lambda: SyntheticSpec(regimes=(RegimeSpec(vocabulary=("a", 7), length_baskets=3),)),
+     lambda: SyntheticSpec(regimes=("x",)),
+     lambda: SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 3),), start_date=5)],
     ids=["length_baskets", "basket_size", "seed", "noise_rate", "str vocabulary",
-         "int token"],
+         "int token", "str regime", "int start_date"],
 )
 def test_synthetic_spec_refuses_values_it_would_misread(build):
     with pytest.raises(ValueError):

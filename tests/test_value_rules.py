@@ -1,4 +1,5 @@
-"""Every count a parameter or spec dataclass takes is checked by the count rule."""
+"""Every count a parameter or spec dataclass takes is checked by the count rule,
+and every real number by the number or rate rule."""
 
 import dataclasses
 
@@ -18,4 +19,14 @@ def test_every_int_field_refuses_floats_and_bools(valid):
     for name in names:
         for value in (2.5, True):
             with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+                dataclasses.replace(valid, **{name: value})
+
+
+@pytest.mark.parametrize("valid", VALID[1:], ids=lambda valid: type(valid).__name__)
+def test_every_float_field_refuses_strings_and_bools(valid):
+    names = [field.name for field in dataclasses.fields(valid) if field.type in ("float", float)]
+    assert names
+    for name in names:
+        for value in ("x", True):
+            with pytest.raises(ValueError, match=f"^{name} must be a "):
                 dataclasses.replace(valid, **{name: value})
