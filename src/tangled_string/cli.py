@@ -73,20 +73,23 @@ def _checked_by(cast, rule):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    """Parse 'N..M' (at most MAX_RANGE_WIDTHS values) or a comma list '3,4,5'."""
+    """Parse 'N..M' or a comma list '3,4,5', either of at most MAX_RANGE_WIDTHS values."""
     try:
         if ".." not in text:
-            return tuple(int(part) for part in text.split(",") if part.strip())
-        low, high = text.split("..", 1)
-        start, stop = int(low), int(high)
-        if stop < start:
-            raise ValueError
+            widths = [int(part) for part in text.split(",") if part.strip()]
+            count = len(widths)
+        else:
+            low, high = text.split("..", 1)
+            start, stop = int(low), int(high)
+            if stop < start:
+                raise ValueError
+            # counted before anything is allocated: a huge range would exhaust memory
+            widths, count = range(start, stop + 1), stop - start + 1
     except ValueError:
         raise ValueError(f"expected N..M or a comma list of integers, got {text!r}") from None
-    # checked before anything is allocated: a huge range would exhaust memory
-    if stop - start >= MAX_RANGE_WIDTHS:
-        raise ValueError(f"a range N..M may hold at most {MAX_RANGE_WIDTHS} widths, got {text!r}")
-    return tuple(range(start, stop + 1))
+    if count > MAX_RANGE_WIDTHS:
+        raise ValueError(f"a width list may hold at most {MAX_RANGE_WIDTHS} widths, got {count}")
+    return tuple(widths)
 
 
 def _float_list(text: str) -> tuple[float, ...]:

@@ -91,7 +91,7 @@ def document_dict(
         "baskets": seq.basket_count,
         "events": events,
         "matches": [
-            {"earlier": m.earlier + 1, "later": m.later + 1} for m in result.matches
+            {"earlier": j + 1, "later": i + 1} for i, j in enumerate(result.earlier) if j >= 0
         ],
         "pills": pills,
         "wire_events": [i + 1 for i in result.wire_events],

@@ -265,13 +265,13 @@ def tolerant_delay_check(
     """
     check_count("dt_baskets", dt_baskets, 0)
     result = tangle(seq, params)
-    partner: dict[int, int] = {}
-    for earlier, later in result.matches:
-        partner.setdefault(earlier, later)
+    basket_of, earlier = seq.basket_membership, result.earlier
     records = []
     for cp in change_points(result):
         keep = min(cp.basket_index + dt_baskets + 1, seq.basket_count)
-        stable = cp.role == EXIT or seq.basket_membership[partner[cp.event_index]] < keep
+        # the partner is the first event that revisited the entrance, in its pill
+        index = cp.event_index
+        stable = cp.role == EXIT or basket_of[earlier.index(index, index + 1)] < keep
         records.append(StabilityRecord(change_point=cp, prefix_baskets=keep, stable=stable))
     return records
 

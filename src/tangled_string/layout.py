@@ -66,17 +66,13 @@ def _rotate(direction: Position, angle: float) -> Position:
 def shared_groups(result: TangleResult) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The groups of events that share one point, and each event's group id.
 
-    Each event is the later end of at most one match, and matches come in
-    scan order, so the match graph is a forest rooted at the unmatched
-    events: event i joins the group of the event it matched, or opens a
-    new one.  Groups are therefore ordered by their smallest member.
+    The groups are the trees of the match forest (see :class:`TangleResult`):
+    event i joins the group of the event it matched, or opens a new one.
+    Groups are therefore ordered by their smallest member.
     """
-    earlier = [-1] * len(result.sequence)
-    for m in result.matches:
-        earlier[m.later] = m.earlier
     groups: list[list[int]] = []
     group_ids: list[int] = []
-    for i, j in enumerate(earlier):
+    for i, j in enumerate(result.earlier):
         if j < 0:
             gid = len(groups)
             groups.append([i])

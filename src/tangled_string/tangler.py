@@ -34,6 +34,7 @@ would have merged into the pill and become its exit.
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -127,7 +128,9 @@ class TangleResult:
     complement of their members.  ``pill_weight`` holds the accumulated
     revisit distances (absent index = zero); ``wire_weight`` is nonzero
     exactly on each pill's entrance and exit, where it equals the span.
-    ``matches`` lists the (earlier, later) hits in scan order.
+    ``earlier[i]`` is the event that event ``i`` revisited, or -1 if none:
+    each event is the later end of at most one match and every match points
+    backward, so the matches form a forest rooted at the unmatched events.
     """
 
     sequence: BasketSequence
@@ -136,7 +139,12 @@ class TangleResult:
     wire_events: tuple[int, ...]
     pill_weight: Mapping[int, int]
     wire_weight: Mapping[int, int]
-    matches: tuple[Match, ...]
+    earlier: array
+
+    @property
+    def matches(self) -> tuple[Match, ...]:
+        """The (earlier, later) hits in scan order, derived from ``earlier``."""
+        return tuple(Match(j, i) for i, j in enumerate(self.earlier) if j >= 0)
 
     def pill_of(self, index: int) -> Pill | None:
         """The pill containing event ``index``, if any (binary search)."""
@@ -148,9 +156,9 @@ class TangleResult:
 
 def _scan(
     seq: BasketSequence, params: TangleParams
-) -> tuple[list[tuple], list[Match], dict[int, int]]:
+) -> tuple[list[tuple], array, dict[int, int]]:
     """The scan engine: run the events of ``seq`` in order and return
-    ``(builders, matches, pill_weight)``."""
+    ``(builders, earlier, pill_weight)``."""
     tokens = seq.tokens
     window = params.window_w
     if params.variant == PLAIN:  # the basket rule at W + 1 over one-event baskets
@@ -164,7 +172,7 @@ def _scan(
         basket_of, bounds = seq.basket_membership, (*seq.basket_starts, len(seq))
 
     occurrences: dict[Token, deque[int]] = defaultdict(deque)
-    matches: list[Match] = []
+    earlier = array("q", [-1]) * len(tokens)
     pill_weight: dict[int, int] = {}
     # pills in progress as (first, last, entrance, exit), disjoint and
     # ordered; a merge only ever absorbs the tail of the stack.  Every
@@ -193,9 +201,9 @@ def _scan(
                     low = first
             builders.append((low, high, entrance, i))
             pill_weight[j] = pill_weight.get(j, 0) + (i - j)
-            matches.append(Match(j, i))
+            earlier[i] = j
         recent.append(i)
-    return builders, matches, pill_weight
+    return builders, earlier, pill_weight
 
 
 def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
@@ -204,7 +212,7 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
     Deterministic: equal inputs give equal results, with matches resolved
     to the earliest same-token event inside the window.
     """
-    builders, matches, pill_weight = _scan(seq, params)
+    builders, earlier, pill_weight = _scan(seq, params)
     pills = tuple(Pill(*builder) for builder in builders)
     wire_weight: dict[int, int] = {}
     wire_events: list[int] = []
@@ -223,7 +231,7 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
         wire_events=tuple(wire_events),
         pill_weight=pill_weight,
         wire_weight=wire_weight,
-        matches=tuple(matches),
+        earlier=earlier,
     )
 
 

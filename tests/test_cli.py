@@ -282,7 +282,8 @@ def test_sweep_writes_documents_and_summary(tmp_path, capsys):
      ("--windows", ",", "windows must be non-empty"),
      # refused before a width is allocated: no MemoryError, no OverflowError
      ("--windows", "1..1000000000000", f"at most {MAX_RANGE_WIDTHS} widths"),
-     ("--windows", "1.." + "9" * 30, f"at most {MAX_RANGE_WIDTHS} widths")],
+     ("--windows", "1.." + "9" * 30, f"at most {MAX_RANGE_WIDTHS} widths"),
+     ("--windows", ",".join(["6"] * (MAX_RANGE_WIDTHS + 1)), f"at most {MAX_RANGE_WIDTHS} widths")],
 )
 def test_sweep_options_are_checked_when_parsed(tmp_path, capsys, option, value, message):
     out_dir = tmp_path / "sweep"
@@ -299,6 +300,8 @@ def test_window_range_limit_is_inclusive(tmp_path, capsys):
     argv = ["sweep", "--input", str(tmp_path / "missing.csv"), "--windows"]
     widest = build_parser().parse_args([*argv, f"1..{MAX_RANGE_WIDTHS}"]).windows
     assert widest == tuple(range(1, MAX_RANGE_WIDTHS + 1))
+    longest = build_parser().parse_args([*argv, ",".join(["6"] * MAX_RANGE_WIDTHS)]).windows
+    assert longest == (6,) * MAX_RANGE_WIDTHS
     assert cli_main([*argv, f"1..{MAX_RANGE_WIDTHS + 1}"]) == 1
     assert f"at most {MAX_RANGE_WIDTHS} widths" in capsys.readouterr().err
 

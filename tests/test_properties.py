@@ -43,6 +43,7 @@ def test_matches_production_equals_naive(case):
     result = tangle(seq, params)
     naive = naive_tangle(seq, params.window_w, params.variant)
     assert [(m.earlier, m.later) for m in result.matches] == naive.matches
+    assert [(j, i) for i, j in enumerate(result.earlier) if j >= 0] == naive.matches
     got_pills = [
         (p.first_event, p.last_event, p.entrance_event, p.exit_event)
         for p in result.pills

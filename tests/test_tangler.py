@@ -1,5 +1,8 @@
 """Core tangler behaviour, pinned with hand-traced expectations."""
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -279,6 +282,27 @@ def test_tangle_is_deterministic():
     seq = from_plain(DEMO)
     params = TangleParams(6, "plain")
     assert tangle(seq, params) == tangle(seq, params)
+
+
+def test_scan_creates_no_tracked_object_per_match():
+    # one GC-tracked object per match makes full collections land inside
+    # long scans; the match forest is one flat array
+    rng = random.Random(42)
+    seq = from_plain([str(rng.randrange(30)) for _ in range(200_000)])
+    params = TangleParams(10, "plain")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = tangle(seq, params)
+        created = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    matched = len(result.earlier) - result.earlier.count(-1)
+    assert matched > 50_000
+    assert created < matched / 2, (created, matched)
 
 
 def test_pill_lookup_by_event():
