@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import fmean, stdev
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptyEvaluationError, check_count, check_number, check_rate
 from .ingest import PriceSeries, parse_date
@@ -51,9 +51,10 @@ def months_to_days(months: float) -> int:
 class EvalParams:
     """Pooled windows, horizons in months, and the comparison rule.
 
-    ``comparison`` selects window means (default) or endpoint prices;
-    ``sigma_rule`` adds the count of increases larger than the standard
-    deviation of the before-window.
+    ``comparison`` selects window means (default) or endpoint prices.
+    Increases larger than the before-window's standard deviation are always
+    counted, and the JSON always carries them; ``sigma_rule`` only decides
+    whether the CSV lists the ``increase_gt_sigma`` rows.
     """
 
     windows: tuple[int, ...] = (3, 4, 5, 6)
@@ -242,8 +243,7 @@ def coincidence_table(
 # ------------------------------------------------------------ delay stability
 
 
-@dataclass(frozen=True)
-class StabilityRecord:
+class StabilityRecord(NamedTuple):
     """Whether one full-run change point is already reported by a prefix."""
 
     change_point: ChangePoint

@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping
 
-from .errors import EmptyBasketError, ParseError
+from .errors import EmptyBasketError, ParseError, check_number
 from .sequence import BasketSequence
 
 logger = logging.getLogger(__name__)
@@ -106,7 +106,8 @@ class PriceSeries:
     """Per-symbol price observations, sorted by date.
 
     Construction validates that each symbol's dates are strictly
-    increasing; ``around`` answers windowed queries by bisection.
+    increasing and its prices are positive finite numbers; ``around``
+    answers windowed queries by bisection.
     """
 
     __slots__ = ("_dates", "_values")
@@ -120,6 +121,10 @@ class PriceSeries:
             for prev, nxt in zip(dates, dates[1:]):
                 if prev == nxt:
                     raise ValueError(f"duplicate date {prev} for symbol {symbol}")
+            for day, price in ordered:  # the rule parse_prices applies to each row
+                check_number(f"price of {symbol} on {day}", price)
+                if price <= 0:
+                    raise ValueError(f"price of {symbol} on {day} must be positive, got {price!r}")
             self._dates[symbol] = dates
             self._values[symbol] = [float(v) for _, v in ordered]
 

@@ -46,26 +46,28 @@ class BasketSequence:
                 raise EmptyBasketError(f"basket {ordinal} has no items", basket=ordinal)
             basket_starts.append(start)
             basket_of.extend([ordinal] * (len(tokens) - start))
+        self._store(tuple(tokens), basket_of, basket_starts, time_labels)
+
+    def _store(
+        self,
+        tokens: tuple[Token, ...],
+        basket_of: Sequence[int],
+        basket_starts: Sequence[int],
+        time_labels: Iterable[str | None] | None,
+    ) -> None:
+        """Check the flat form and store it: the only writer of the slots."""
         if not tokens:
             raise EmptySequenceError("sequence has no events")
         if "" in tokens:
             raise ValueError(f"empty token in basket {basket_of[tokens.index('')]}")
-        labels: tuple[str | None, ...]
-        if time_labels is None:
-            labels = (None,) * len(basket_starts)
-        else:
-            labels = tuple(time_labels)
-            if len(labels) != len(basket_starts):
-                raise ValueError(
-                    f"{len(labels)} time labels for {len(basket_starts)} baskets"
-                )
-        self._tokens = tuple(tokens)
+        labels = (None,) * len(basket_starts) if time_labels is None else tuple(time_labels)
+        if len(labels) != len(basket_starts):
+            raise ValueError(f"{len(labels)} time labels for {len(basket_starts)} baskets")
+        self._tokens, self._time_labels = tokens, labels
         if len(basket_starts) == len(tokens):  # one item per basket: the identity
             self._basket_of = self._basket_starts = range(len(tokens))
         else:
-            self._basket_of = tuple(basket_of)
-            self._basket_starts = tuple(basket_starts)
-        self._time_labels = labels
+            self._basket_of, self._basket_starts = tuple(basket_of), tuple(basket_starts)
 
     # -- sizes ---------------------------------------------------------------
 
@@ -138,14 +140,8 @@ def from_plain(tokens: Iterable[Token]) -> BasketSequence:
     basket per token: the indices are one shared ``range``.
     """
     flat = tuple(map(str, tokens))
-    if not flat:
-        raise EmptySequenceError("sequence has no events")
-    if "" in flat:
-        raise ValueError(f"empty token in basket {flat.index('')}")
     seq = object.__new__(BasketSequence)
-    seq._tokens = flat
-    seq._basket_of = seq._basket_starts = range(len(flat))
-    seq._time_labels = (None,) * len(flat)
+    seq._store(flat, range(len(flat)), range(len(flat)), None)
     return seq
 
 

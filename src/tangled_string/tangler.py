@@ -29,6 +29,10 @@ the entrance of the deepest builder it pops, so the prefix reports an
 entrance exactly when it holds the first match of the entrance's pill,
 and an exit from the exit's own basket on: a later match in that basket
 would have merged into the pill and become its exit.
+
+A record built once per match, pill, change point, key event or delay
+record is a named tuple.  Parameter objects and once-per-run results
+(``TangleParams``, ``TangleResult``, ...) are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -71,8 +75,7 @@ class Match(NamedTuple):
     later: int
 
 
-@dataclass(frozen=True)
-class Pill:
+class Pill(NamedTuple):
     """A contiguous trend interval.
 
     ``first_event``/``last_event`` are the span endpoints; every event in
@@ -98,8 +101,7 @@ class Pill:
         return self.first_event <= index <= self.last_event
 
 
-@dataclass(frozen=True)
-class KeyEvent:
+class KeyEvent(NamedTuple):
     """A ranked heavy event, either inside a pill or on the wire."""
 
     event_index: int
@@ -109,8 +111,7 @@ class KeyEvent:
     role: str | None = None  # ENTRANCE or EXIT on the wire, None inside a pill
 
 
-@dataclass(frozen=True)
-class ChangePoint:
+class ChangePoint(NamedTuple):
     """An entrance or exit event with its basket coordinates."""
 
     event_index: int
@@ -213,7 +214,7 @@ def tangle(seq: BasketSequence, params: TangleParams) -> TangleResult:
     to the earliest same-token event inside the window.
     """
     builders, earlier, pill_weight = _scan(seq, params)
-    pills = tuple(Pill(*builder) for builder in builders)
+    pills = tuple(map(Pill._make, builders))
     wire_weight: dict[int, int] = {}
     wire_events: list[int] = []
     cursor = 0

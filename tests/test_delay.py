@@ -6,8 +6,6 @@ the direct reading of the definition: cut the sequence after basket
 among its change points.
 """
 
-import dataclasses
-
 import pytest
 
 from tangled_string import (
@@ -57,7 +55,7 @@ def by_the_rule(seq, params, records):
     for record in records:
         cp = record.change_point
         kept = seq.basket_membership[partner[full.pill_of(cp.event_index)]] < record.prefix_baskets
-        ruled.append(dataclasses.replace(record, stable=cp.role == EXIT or kept))
+        ruled.append(record._replace(stable=cp.role == EXIT or kept))
     return ruled
 
 

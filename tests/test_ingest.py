@@ -4,6 +4,7 @@ import csv
 import datetime
 import io
 import logging
+import math
 
 import pytest
 
@@ -252,6 +253,15 @@ def test_price_series_rejects_duplicate_dates():
     day = datetime.date(2020, 1, 1)
     with pytest.raises(ValueError):
         PriceSeries({"S": [(day, 1.0), (day, 2.0)]})
+
+
+@pytest.mark.parametrize("price", [math.nan, math.inf, 0, -5, True, "1.5"])
+def test_price_series_refuses_what_parse_prices_refuses(price):
+    # a stored NaN would be counted as a flat pair by coincidence_table
+    day = datetime.date(2020, 1, 3)
+    observations = {"S": [(day, 1.0), (day + datetime.timedelta(days=7), price)]}
+    with pytest.raises(ValueError, match="^price of S on 2020-01-10 must be"):
+        PriceSeries(observations)
 
 
 def test_price_series_sorts_programmatic_input():

@@ -116,6 +116,16 @@ def test_plain_equals_one_item_baskets(tokens):
         assert plain.prefix(k) == from_plain(tokens[:k])
 
 
+@pytest.mark.parametrize("tokens", [[], ["a", ""], ["", "a"]])
+def test_both_constructors_refuse_alike(tokens):
+    with pytest.raises((EmptySequenceError, ValueError)) as plain:
+        from_plain(tokens)
+    with pytest.raises((EmptySequenceError, ValueError)) as built:
+        BasketSequence([t] for t in tokens)
+    assert type(plain.value) is type(built.value)
+    assert str(plain.value) == str(built.value)
+
+
 def test_plain_build_stores_no_per_token_index():
     # the tokens and labels tuples take 1.5 MB each; per-token index
     # tuples and baskets took the build to 21 MB

@@ -1,6 +1,7 @@
 """Core tangler behaviour, pinned with hand-traced expectations."""
 
 import gc
+import pickle
 import random
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 from tangled_string import (
     ENTRANCE,
     EXIT,
+    ChangePoint,
+    KeyEvent,
     Match,
     Pill,
+    StabilityRecord,
     TangleParams,
     change_points,
     from_baskets,
@@ -90,17 +94,36 @@ def test_match_list_at_window_6():
     expected = [(1, 3), (2, 4), (2, 6), (5, 7), (8, 11), (9, 12)]
     assert [(m.earlier, m.later) for m in plain_result(6).matches] == expected
     assert plain_result(6).matches[0] == Match(earlier=1, later=3)
-
-
-def test_match_is_a_read_only_named_pair():
-    match = Match(earlier=1, later=3)
-    assert repr(match) == "Match(earlier=1, later=3)"
-    assert (match.earlier, match.later) == (1, 3)
-    with pytest.raises(AttributeError):
-        match.earlier = 2
     matches = plain_result(6).matches
     assert type(matches) is tuple
     assert all(type(m) is Match for m in matches)
+
+
+CHANGE_POINT = ChangePoint(4, "a", ENTRANCE, 1, "2007-07-13")
+RECORDS = [
+    (Match(1, 3), "earlier later", (1, 3)),
+    (Pill(3, 9, 4, 8), "first_event last_event entrance_event exit_event", (3, 9, 4, 8)),
+    (CHANGE_POINT, "event_index token role basket_index time_label",
+     (4, "a", ENTRANCE, 1, "2007-07-13")),
+    (KeyEvent(4, "a", 5, 1), "event_index token weight rank role", (4, "a", 5, 1, None)),
+    (StabilityRecord(CHANGE_POINT, 2, True), "change_point prefix_baskets stable",
+     ((4, "a", ENTRANCE, 1, "2007-07-13"), 2, True)),
+]
+
+
+@pytest.mark.parametrize(
+    "record, names, values", RECORDS, ids=[type(record).__name__ for record, _, _ in RECORDS]
+)
+def test_record_is_a_read_only_named_tuple(record, names, values):
+    names = tuple(names.split())
+    assert type(record)._fields == names
+    assert record == values
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], 0)
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)
 
 
 def test_window_5_gives_same_pills_as_window_6():
@@ -318,6 +341,8 @@ def test_pill_membership_helpers():
     assert list(pill.members) == [1, 2, 3, 4, 5, 6, 7]
     assert 4 in pill
     assert 0 not in pill
+    # membership is the span's, not a tuple's: no field of this pill equals 5
+    assert 5 in Pill(3, 9, 4, 8)
 
 
 def test_matches_naive_reference_on_demo_string():
