@@ -145,55 +145,47 @@ def emit_dot(result: TangleResult) -> str:
     """Render the tangle as a DOT digraph.
 
     One node per shared-position group, labelled with the token and the
-    1-based positions it absorbs.  Entrances are red, exits green, both
-    gradient-filled; entrance/exit nodes are sized by wire weight.  Edges
-    walk the sequence in order; each pill becomes a cluster.
+    1-based positions it absorbs.  Each pill becomes a cluster, and the
+    wire events follow as plain nodes.  The group holding a pill's
+    entrance is red, the one holding its exit green (``red:green`` when
+    one group holds both); both are sized by the pill's span relative to
+    the longest pill's.  Edges walk the sequence in order.
     """
     tokens = result.sequence.tokens
     groups, group_ids = shared_groups(result)
-    entrances = {pill.entrance_event for pill in result.pills}
-    exits = {pill.exit_event for pill in result.pills}
-    max_weight = max(result.wire_weight.values(), default=0)
+    longest = max((pill.span for pill in result.pills), default=0)
+    # a match never leaves its pill, so only a pill's own entrance and exit mark its groups
+    colour: dict[int, str] = {}
+    width: dict[int, float] = {}
+    for pill in result.pills:
+        entrance, exit_ = group_ids[pill.entrance_event], group_ids[pill.exit_event]
+        colour[entrance] = "red"
+        colour[exit_] = "red:green" if exit_ == entrance else "green"
+        width[entrance] = width[exit_] = _NODE_MIN_WIDTH + _NODE_EXTRA_WIDTH * pill.span / longest
 
-    def node_attrs(gid: int) -> str:
+    def node(gid: int) -> str:
         group = groups[gid]
         label = f"{tokens[group[0]]} @ {','.join(str(i + 1) for i in group)}"
-        attrs = [f"label={_quote(label)}"]
-        has_entrance = any(member in entrances for member in group)
-        has_exit = any(member in exits for member in group)
-        if has_entrance and has_exit:
-            attrs.append('fillcolor="red:green"')
-        elif has_entrance:
-            attrs.append('fillcolor="red"')
-        elif has_exit:
-            attrs.append('fillcolor="green"')
-        weight = max(result.wire_weight.get(member, 0) for member in group)
-        if weight and max_weight:
-            width = _NODE_MIN_WIDTH + _NODE_EXTRA_WIDTH * weight / max_weight
-            attrs.append(f'width="{width:.3f}"')
-            attrs.append(f'height="{width:.3f}"')
-            attrs.append("fixedsize=true")
-        return ", ".join(attrs)
-
-    # a match never leaves its pill, so a group lies in the pill of its first member
-    number_of = {pill: number for number, pill in enumerate(result.pills)}
-    in_pill: list[list[int]] = [[] for _ in result.pills]
-    on_wire: list[int] = []
-    for gid, group in enumerate(groups):
-        pill = result.pill_of(group[0])
-        (on_wire if pill is None else in_pill[number_of[pill]]).append(gid)
+        attrs = f"label={_quote(label)}"
+        if gid in colour:
+            size = f"{width[gid]:.3f}"
+            attrs += f', fillcolor="{colour[gid]}", width="{size}", height="{size}", fixedsize=true'
+        return f"g{gid} [{attrs}];"
 
     lines = [
         "digraph tangle {",
         "  rankdir=LR;",
         "  node [shape=circle, style=filled, fillcolor=lightgray, fontsize=10];",
     ]
-    for number, (pill, gids) in enumerate(zip(result.pills, in_pill), start=1):
+    for number, pill in enumerate(result.pills, start=1):
         lines.append(f"  subgraph cluster_pill_{number} {{")
         lines.append(f"    label={_quote(f'pill {number} (span {pill.span})')};")
-        lines.extend(f"      g{gid} [{node_attrs(gid)}];" for gid in gids)
+        # group ids follow each group's smallest member, so first sight is ascending id
+        gids = dict.fromkeys(group_ids[pill.first_event : pill.last_event + 1])
+        lines.extend(f"      {node(gid)}" for gid in gids)
         lines.append("  }")
-    lines.extend(f"  g{gid} [{node_attrs(gid)}];" for gid in on_wire)
+    # a wire event is never revisited, so it is a group of its own
+    lines.extend(f"  {node(group_ids[i])}" for i in result.wire_events)
     lines.extend(f"  g{a} -> g{b};" for a, b in zip(group_ids, group_ids[1:]) if a != b)
     lines.append("}")
     return "\n".join(lines) + "\n"

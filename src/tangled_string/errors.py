@@ -1,6 +1,6 @@
 """Exception types and value rules shared across the package."""
 
-import math
+import sys
 
 
 class TangledStringError(Exception):
@@ -53,5 +53,6 @@ def check_rate(name: str, value) -> None:
 
 def check_number(name: str, value) -> None:
     """The rule for every real number: an int or float, not a bool, and finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # false for NaN and huge ints
         raise ValueError(f"{name} must be a finite number, got {value!r}")

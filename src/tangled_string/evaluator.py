@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import datetime
 import logging
-import math
 import random
+import sys
 from dataclasses import dataclass
 from statistics import fmean, stdev
 from typing import Iterable, Mapping, NamedTuple
@@ -73,7 +73,7 @@ class EvalParams:
         # A number out of range gets this message; anything else, the number rule's
         for delta in self.deltas_months:
             if isinstance(delta, (int, float)) and not (
-                math.isfinite(delta * WEEKS_PER_MONTH) and months_to_days(delta) > 0
+                0 < delta <= sys.float_info.max / WEEKS_PER_MONTH and months_to_days(delta) > 0
             ):
                 raise ValueError(
                     "deltas must all be positive and finite, and longer than half a week;"

@@ -105,9 +105,10 @@ def parse_baskets(
 class PriceSeries:
     """Per-symbol price observations, sorted by date.
 
-    Construction validates that each symbol's dates are strictly
-    increasing and its prices are positive finite numbers; ``around``
-    answers windowed queries by bisection.
+    Construction validates that each symbol's dates are distinct
+    ``datetime.date`` values (a ``str`` or ``datetime`` would break the
+    sort and the bisection) and its prices are positive finite numbers;
+    ``around`` answers windowed queries by bisection.
     """
 
     __slots__ = ("_dates", "_values")
@@ -116,15 +117,18 @@ class PriceSeries:
         self._dates: dict[str, list[datetime.date]] = {}
         self._values: dict[str, list[float]] = {}
         for symbol, pairs in observations.items():
+            pairs = list(pairs)
+            for day, price in pairs:  # the rule parse_prices applies to each row
+                if type(day) is not datetime.date:
+                    raise ValueError(f"date of {symbol} on {day!r} must be a datetime.date")
+                check_number(f"price of {symbol} on {day}", price)
+                if price <= 0:
+                    raise ValueError(f"price of {symbol} on {day} must be positive, got {price!r}")
             ordered = sorted(pairs, key=lambda p: p[0])
             dates = [d for d, _ in ordered]
             for prev, nxt in zip(dates, dates[1:]):
                 if prev == nxt:
                     raise ValueError(f"duplicate date {prev} for symbol {symbol}")
-            for day, price in ordered:  # the rule parse_prices applies to each row
-                check_number(f"price of {symbol} on {day}", price)
-                if price <= 0:
-                    raise ValueError(f"price of {symbol} on {day} must be positive, got {price!r}")
             self._dates[symbol] = dates
             self._values[symbol] = [float(v) for _, v in ordered]
 

@@ -105,10 +105,9 @@ def assign_positions(
     positions: list[Position] = []
     last_direction: Position = (1.0, 0.0)
 
-    for i, gid in enumerate(group_ids):
-        root = groups[gid][0]
-        if root < i:
-            pos = positions[root]
+    for i, j in enumerate(result.earlier):
+        if j >= 0:  # by induction, j already sits on its root's point
+            pos = positions[j]
         elif i == 0:
             pos = (0.0, 0.0)
         elif i == 1:

@@ -12,7 +12,9 @@ current event's basket, restricted to events strictly before it.  On a
 match, the whole basket of each endpoint joins the pill, so pills stay
 aligned to basket boundaries.  The ``plain`` variant ignores baskets: its
 window is the ``W`` events immediately preceding the current one, which is
-this rule at ``W + 1`` over one-event baskets.
+this rule at ``W + 1`` over one-event baskets.  A wider window keeps every
+match and only moves its earlier end back, so pills nest across timescales:
+every pill at width ``W`` lies inside one pill at ``W + 1``.
 
 Each pill records its span endpoints (first/last member) and its revisit
 endpoints: the entrance is the earlier event of the chronologically first
@@ -254,15 +256,12 @@ def key_pill_events(result: TangleResult, k: int) -> list[KeyEvent]:
 
 def key_wire_events(result: TangleResult, k: int) -> list[KeyEvent]:
     """The k heaviest wire-weighted events (pill entrances and exits)."""
-    role_of: dict[int, str] = {}
-    for pill in result.pills:
-        role_of[pill.entrance_event] = ENTRANCE
-        role_of[pill.exit_event] = EXIT
     tokens = result.sequence.tokens
-    return [
-        KeyEvent(index, tokens[index], weight, rank, role=role_of[index])
-        for rank, (index, weight) in enumerate(_top_k(result.wire_weight, k), start=1)
-    ]
+    events = []
+    for rank, (index, weight) in enumerate(_top_k(result.wire_weight, k), start=1):
+        role = ENTRANCE if result.pill_of(index).entrance_event == index else EXIT
+        events.append(KeyEvent(index, tokens[index], weight, rank, role))
+    return events
 
 
 def change_points(result: TangleResult) -> list[ChangePoint]:

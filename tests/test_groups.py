@@ -7,7 +7,18 @@ it assumes nothing about the order or shape of the match list.
 
 import pytest
 
-from tangled_string import BASKET, PLAIN, TangleParams, assign_positions, emit_dot, tangle
+from tangled_string import (
+    BASKET,
+    ENTRANCE,
+    EXIT,
+    PLAIN,
+    TangleParams,
+    assign_positions,
+    emit_dot,
+    key_wire_events,
+    tangle,
+)
+from tangled_string.emit import _NODE_EXTRA_WIDTH, _NODE_MIN_WIDTH
 
 from dot_checker import parse_dot
 from seqgen import random_case
@@ -71,6 +82,34 @@ def test_dot_clusters_hold_exactly_their_pills_groups():
         for pill, subgraph in zip(result.pills, graph.subgraphs, strict=True):
             for name in subgraph.nodes:
                 assert all(i in pill for i in members[name]), seed
+            assert subgraph.nodes == sorted(subgraph.nodes, key=group_id), seed
             clustered.update(subgraph.nodes)
-        for name in set(members) - clustered:
+        on_wire = [name for name in graph.nodes if name not in clustered]
+        for name in on_wire:
             assert result.pill_of(members[name][0]) is None, seed
+        assert on_wire == sorted(on_wire, key=group_id), seed
+
+        # colour and size by a per-member rule: any entrance or exit among the
+        # members, and their largest wire weight against the largest of all
+        role_of = {pill.entrance_event: ENTRANCE for pill in result.pills}
+        role_of.update((pill.exit_event, EXIT) for pill in result.pills)
+        longest = max(result.wire_weight.values(), default=0)
+        for name, group in members.items():
+            roles = {role_of.get(i) for i in group}
+            fill = ":".join(c for role, c in ((ENTRANCE, "red"), (EXIT, "green")) if role in roles)
+            assert graph.nodes[name].attrs.get("fillcolor", "") == fill, (seed, name)
+            weight = max(result.wire_weight.get(i, 0) for i in group)
+            width = _NODE_MIN_WIDTH + _NODE_EXTRA_WIDTH * weight / longest if weight else None
+            for attr in ("width", "height"):
+                got = graph.nodes[name].attrs.get(attr)
+                assert got == (None if width is None else f"{width:.3f}"), (seed, name)
+
+        ranked = key_wire_events(result, max(len(result.wire_weight), 1))
+        assert len(ranked) == len(result.wire_weight), seed
+        for event in ranked:
+            assert event.role == role_of[event.event_index], seed
+            assert event.weight == result.pill_of(event.event_index).span, seed
+
+
+def group_id(name: str) -> int:
+    return int(name.removeprefix("g"))

@@ -255,12 +255,17 @@ def test_price_series_rejects_duplicate_dates():
         PriceSeries({"S": [(day, 1.0), (day, 2.0)]})
 
 
-@pytest.mark.parametrize("price", [math.nan, math.inf, 0, -5, True, "1.5"])
-def test_price_series_refuses_what_parse_prices_refuses(price):
+@pytest.mark.parametrize(
+    "day, price",
+    [(datetime.date(2020, 1, 10), p) for p in (math.nan, math.inf, 0, -5, True, "1.5", 10**400)]
+    # a day that is not a date breaks the bisection against one in ``around``
+    + [("2020-01-10", 1.0), (datetime.datetime(2020, 1, 10), 1.0)],
+    ids=["nan", "inf", "0", "-5", "True", "1.5", "10**400", "str-day", "datetime-day"],
+)
+def test_price_series_refuses_what_parse_prices_refuses(day, price):
     # a stored NaN would be counted as a flat pair by coincidence_table
-    day = datetime.date(2020, 1, 3)
-    observations = {"S": [(day, 1.0), (day + datetime.timedelta(days=7), price)]}
-    with pytest.raises(ValueError, match="^price of S on 2020-01-10 must be"):
+    observations = {"S": [(datetime.date(2020, 1, 3), 1.0), (day, price)]}
+    with pytest.raises(ValueError, match="^(price of S on 2020-01-10|date of S on .+) must be"):
         PriceSeries(observations)
 
 

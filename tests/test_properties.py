@@ -56,6 +56,18 @@ def test_matches_production_equals_naive(case):
 
 @settings(deadline=None)
 @given(tangle_cases())
+def test_pills_nest_across_window_widths(case):
+    # the timescale law: every pill at width W lies inside one pill at W + 1
+    seq, params = case
+    for variant in (PLAIN, BASKET):
+        wider = tangle(seq, TangleParams(params.window_w + 1, variant))
+        for pill in tangle(seq, TangleParams(params.window_w, variant)).pills:
+            outer = wider.pill_of(pill.first_event)
+            assert outer is not None and pill.last_event in outer, (variant, pill, outer)
+
+
+@settings(deadline=None)
+@given(tangle_cases())
 def test_saturation_window_is_sufficient(case):
     seq, params = case
     check_saturation(seq, params.variant)
