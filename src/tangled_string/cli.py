@@ -3,7 +3,7 @@
 Subcommands: tangle (segment one file), sweep (several window widths plus
 a summary CSV), layout (coordinates included), eval (price coincidence
 table), synth (seeded synthetic data).  Exit codes: 0 on success, 1 on
-usage errors, 2 on malformed input files.
+usage errors, 2 on malformed input files, 70 on a fault in the program.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import io
 import json
 import re
 import sys
+import traceback
 from pathlib import Path
 
 from .emit import DEFAULT_KEY_EVENTS, emit_dot, emit_json, json_text
@@ -39,6 +40,7 @@ from .tangler import BASKET, PLAIN, TangleParams, _top_k, sweep, tangle
 
 USAGE_EXIT = 1
 PARSE_EXIT = 2
+INTERNAL_EXIT = 70  # EX_SOFTWARE: a fault in the program, not in its input
 MAX_RANGE_WIDTHS = 1000
 
 
@@ -330,7 +332,13 @@ def cli_main(argv=None) -> int:
 
 
 def main():
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+    except Exception as exc:  # SystemExit, as from --help, is no Exception
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = INTERNAL_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

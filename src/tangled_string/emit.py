@@ -103,12 +103,8 @@ def document_dict(
     if layout is not None:
         doc["layout"] = {
             "positions": [
-                {
-                    "position": i + 1,
-                    "x": layout.positions[i][0],
-                    "y": layout.positions[i][1],
-                }
-                for i in range(len(seq))
+                {"position": i + 1, "x": x, "y": y}
+                for i, (x, y) in enumerate(layout.points[gid] for gid in layout.group_ids)
             ],
             "groups": [
                 [member + 1 for member in group]

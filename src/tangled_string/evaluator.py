@@ -278,6 +278,8 @@ def tolerant_delay_check(
 
 # -------------------------------------------------------------- synthetic data
 
+MAX_SYNTHETIC_ITEMS = 10_000_000  # 10x the items of a 1M-token string
+
 
 @dataclass(frozen=True)
 class RegimeSpec:
@@ -324,13 +326,18 @@ class SyntheticSpec:
         check_rate("noise_rate", self.noise_rate)
         check_count("seed", self.seed, 0)
         check_count("basket_size", self.basket_size, 1)
+        baskets = sum(regime.length_baskets for regime in self.regimes)
+        if self.basket_size * baskets > MAX_SYNTHETIC_ITEMS:
+            raise ValueError(
+                f"basket_size {self.basket_size} times {baskets} baskets is more than"
+                f" {MAX_SYNTHETIC_ITEMS:,} items"
+            )
         if self.start_date is not None:
             if not isinstance(self.start_date, str):
                 raise ValueError(f"start_date must be a date string, got {self.start_date!r}")
-            weeks = sum(regime.length_baskets for regime in self.regimes) - 1
-            if (datetime.date.max - parse_date(self.start_date)).days < 7 * weeks:
+            if (datetime.date.max - parse_date(self.start_date)).days < 7 * (baskets - 1):
                 raise ValueError(
-                    f"start_date {self.start_date} puts the last of {weeks + 1} weekly"
+                    f"start_date {self.start_date} puts the last of {baskets} weekly"
                     " baskets past the largest date"
                 )
 

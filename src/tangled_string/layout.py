@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import check_count, check_number
 from .sequence import BasketSequence
@@ -45,14 +44,15 @@ class LayoutParams:
 
 @dataclass(frozen=True)
 class LayoutResult:
-    """Coordinates per event plus the groups that share one point.
+    """One point per group of events that share a position.
 
     Groups are the connected components of the match graph, ordered by
     their smallest member; unmatched events form singleton groups.
-    ``group_ids[i]`` is the index of event i's group.
+    ``group_ids[i]`` is the index of event i's group, so event i sits at
+    ``points[group_ids[i]]``.
     """
 
-    positions: Mapping[int, Position]
+    points: tuple[Position, ...]
     shared_position_groups: tuple[tuple[int, ...], ...]
     group_ids: tuple[int, ...]
 
@@ -102,36 +102,32 @@ def assign_positions(
         raise ValueError("result was computed from a different sequence")
 
     groups, group_ids = shared_groups(result)
-    positions: list[Position] = []
-    last_direction: Position = (1.0, 0.0)
+    points: list[Position] = []
+    mx, my = 1.0, 0.0  # the last non-zero move from one event to the next
 
     for i, j in enumerate(result.earlier):
-        if j >= 0:  # by induction, j already sits on its root's point
-            pos = positions[j]
-        elif i == 0:
-            pos = (0.0, 0.0)
-        elif i == 1:
-            pos = (1.0, 0.0)
-        else:
-            px, py = positions[i - 1]
-            qx, qy = positions[i - 2]
-            dx, dy = px - qx, py - qy
-            if dx == 0.0 and dy == 0.0:
-                dirx, diry = _rotate(last_direction, _TURN)
-                pos = (px + dirx, py + diry)
+        if j < 0:  # only an unmatched event opens a group, and so a point
+            if i < 2:
+                points.append((float(i), 0.0))  # (0,0), then (1,0)
             else:
-                pos = (px + params.a * dx, py + params.a * dy)
-                if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
-                    raise ValueError(f"a={params.a} puts event {i} at a non-finite position")
-        positions.append(pos)
+                px, py = points[group_ids[i - 1]]
+                qx, qy = points[group_ids[i - 2]]
+                dx, dy = px - qx, py - qy
+                if dx == 0.0 and dy == 0.0:
+                    norm = math.hypot(mx, my)
+                    dirx, diry = _rotate((mx / norm, my / norm), _TURN)
+                    points.append((px + dirx, py + diry))
+                else:
+                    x, y = px + params.a * dx, py + params.a * dy
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise ValueError(f"a={params.a} puts event {i} at a non-finite position")
+                    points.append((x, y))
         if i >= 1:
-            sx, sy = positions[i - 1]
-            mx, my = pos[0] - sx, pos[1] - sy
-            norm = math.hypot(mx, my)
-            if norm > 0.0:
-                last_direction = (mx / norm, my / norm)
+            (x, y), (sx, sy) = points[group_ids[i]], points[group_ids[i - 1]]
+            if x != sx or y != sy:
+                mx, my = x - sx, y - sy
 
-    return LayoutResult(dict(enumerate(positions)), groups, group_ids)
+    return LayoutResult(tuple(points), groups, group_ids)
 
 
 def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
@@ -157,7 +153,7 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
 
     groups, group_ids = layout.shared_position_groups, layout.group_ids
     count = len(groups)
-    coords = [list(layout.positions[group[0]]) for group in groups]
+    coords = [list(point) for point in layout.points]
     if not all(math.isfinite(c) for point in coords for c in point):
         raise ValueError("the layout to stretch has a non-finite position")
     pinned = {group_ids[0], group_ids[-1]}
@@ -229,5 +225,4 @@ def stretch(layout: LayoutResult, params: LayoutParams) -> LayoutResult:
             if not (math.isfinite(coords[gid][0]) and math.isfinite(coords[gid][1])):
                 raise ValueError(f"stretch_step={params.stretch_step} makes a position non-finite")
 
-    points = [(x, y) for x, y in coords]
-    return LayoutResult({i: points[gid] for i, gid in enumerate(group_ids)}, groups, group_ids)
+    return LayoutResult(tuple((x, y) for x, y in coords), groups, group_ids)

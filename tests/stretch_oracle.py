@@ -22,7 +22,7 @@ def stretch(layout, params):
 
     groups, group_ids = layout.shared_position_groups, layout.group_ids
     count = len(groups)
-    coords = [list(layout.positions[group[0]]) for group in groups]
+    coords = [list(point) for point in layout.points]
     pinned = {group_ids[0], group_ids[-1]}
 
     springs = []
@@ -71,5 +71,4 @@ def stretch(layout, params):
             if not (math.isfinite(coords[gid][0]) and math.isfinite(coords[gid][1])):
                 raise ValueError(f"stretch_step={params.stretch_step} makes a position non-finite")
 
-    points = [(x, y) for x, y in coords]
-    return LayoutResult({i: points[gid] for i, gid in enumerate(group_ids)}, groups, group_ids)
+    return LayoutResult(tuple((x, y) for x, y in coords), groups, group_ids)

@@ -26,7 +26,7 @@ from tangled_string import (
     schema_text,
     tangle,
 )
-from tangled_string.cli import MAX_RANGE_WIDTHS, build_parser, cli_main
+from tangled_string.cli import MAX_RANGE_WIDTHS, build_parser, cli_main, main
 
 from dot_checker import parse_dot
 from eval_scenario import pure_step_prices, week
@@ -688,6 +688,28 @@ def test_no_arguments_is_usage_error():
     assert "usage error" in proc.stderr
 
 
+STDLIB_ONLY = """
+import sys
+from tangled_string import schema_text
+from tangled_string.cli import build_parser
+build_parser()
+schema_text()
+loaded = {name.partition(".")[0] for name in sys.modules}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"__main__", "tangled_string"}))
+"""
+
+
+def test_the_cli_loads_the_standard_library_alone():
+    # -S leaves site-packages off the path: an installed dependency cannot load
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # --------------------------------------------------- strict input handling
 
 
@@ -747,6 +769,17 @@ def test_synth_bad_spec_values_are_input_errors(tmp_path, capsys, overrides):
     assert "bad synthetic spec" in capsys.readouterr().err
 
 
+def test_synth_refuses_an_oversized_spec_before_generating(tmp_path, capsys, monkeypatch):
+    def unused(_spec):
+        raise AssertionError("the generator ran on an oversized spec")
+
+    monkeypatch.setattr("tangled_string.cli.generate_synthetic", unused)
+    regimes = [{"vocabulary": ["a", "b"], "length_baskets": 3}]
+    code = cli_main(["synth", "--spec", synth_spec(tmp_path, regimes=regimes, basket_size=10**9)])
+    assert code == 2
+    assert "bad synthetic spec" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     def broken(*_args):
         raise ValueError("bug")
@@ -754,6 +787,29 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr("tangled_string.cli.tangle", broken)
     with pytest.raises(ValueError, match="bug"):
         cli_main(["tangle", "--input", demo_csv(tmp_path), "--window", "6"])
+
+
+def test_a_fault_in_the_program_exits_70_with_its_traceback(tmp_path, monkeypatch, capsys):
+    def broken(*_args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("tangled_string.cli.tangle", broken)
+    argv = ["tangled", "tangle", "--input", demo_csv(tmp_path), "--window", "6"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "internal error: ValueError: bug"
+
+
+def test_help_still_exits_0_through_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["tangled", "--help"])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

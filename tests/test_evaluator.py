@@ -26,6 +26,7 @@ from tangled_string import (
     tangle,
     tolerant_delay_check,
 )
+from tangled_string.evaluator import MAX_SYNTHETIC_ITEMS
 
 from eval_scenario import (
     KNOWN_PAIRS,
@@ -377,6 +378,16 @@ def test_synthetic_requires_regimes():
 def test_synthetic_spec_refuses_values_it_would_misread(build):
     with pytest.raises(ValueError):
         generate_synthetic(build())
+
+
+def test_synthetic_spec_refuses_more_items_than_the_cap():
+    # only built, never generated: the refusal comes before any item is drawn
+    with pytest.raises(ValueError, match="10,000,000 items"):
+        SyntheticSpec(regimes=(RegimeSpec(("a", "b"), 3),), basket_size=10**9)
+    ten = (RegimeSpec(("a", "b"), 4), RegimeSpec(("c",), 6))
+    SyntheticSpec(regimes=ten, basket_size=MAX_SYNTHETIC_ITEMS // 10)
+    with pytest.raises(ValueError, match="basket_size 1000001 times 10 baskets"):
+        SyntheticSpec(regimes=ten, basket_size=MAX_SYNTHETIC_ITEMS // 10 + 1)
 
 
 def test_synthetic_last_basket_must_be_a_valid_date():

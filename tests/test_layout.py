@@ -24,38 +24,43 @@ def demo_layout(window=6, params=None):
     return seq, result, assign_positions(seq, result, params)
 
 
+def point(layout, i):
+    """Where event i sits: on its group's point."""
+    return layout.points[layout.group_ids[i]]
+
+
 def test_bootstrap_positions():
     seq = from_plain(["a", "b", "c"])
     layout = assign_positions(seq, tangle(seq, TangleParams(1, "plain")))
-    assert layout.positions[0] == (0.0, 0.0)
-    assert layout.positions[1] == (1.0, 0.0)
-    assert layout.positions[2] == (2.0, 0.0)
+    assert point(layout, 0) == (0.0, 0.0)
+    assert point(layout, 1) == (1.0, 0.0)
+    assert point(layout, 2) == (2.0, 0.0)
 
 
 def test_matched_events_share_exact_coordinates():
     _, result, layout = demo_layout()
     for match in result.matches:
-        assert layout.positions[match.later] == layout.positions[match.earlier]
-    assert layout.positions[3] == layout.positions[1] == (1.0, 0.0)
-    assert layout.positions[6] == layout.positions[2] == (2.0, 0.0)
+        assert point(layout, match.later) == point(layout, match.earlier)
+    assert point(layout, 3) == point(layout, 1) == (1.0, 0.0)
+    assert point(layout, 6) == point(layout, 2) == (2.0, 0.0)
 
 
 def test_demo_extrapolation_walks_the_line():
     _, _, layout = demo_layout()
-    assert layout.positions[13] == (6.0, 0.0)
-    assert all(y == 0.0 for _, y in layout.positions.values())
+    assert point(layout, 13) == (6.0, 0.0)
+    assert all(y == 0.0 for _, y in layout.points)
 
 
 def test_repeated_token_collapses_to_origin():
     seq = from_plain(["1", "1"])
     layout = assign_positions(seq, tangle(seq, TangleParams(1, "plain")))
-    assert layout.positions[0] == layout.positions[1] == (0.0, 0.0)
+    assert point(layout, 0) == point(layout, 1) == (0.0, 0.0)
 
 
 def test_degenerate_extension_turns_fifteen_degrees():
     seq = from_plain(["1", "1", "2"])
     layout = assign_positions(seq, tangle(seq, TangleParams(1, "plain")))
-    dx, dy = layout.positions[2]
+    dx, dy = point(layout, 2)
     assert math.hypot(dx, dy) == pytest.approx(1.0)
     assert math.degrees(math.atan2(dy, dx)) == pytest.approx(15.0)
 
@@ -63,7 +68,7 @@ def test_degenerate_extension_turns_fifteen_degrees():
 def test_extension_gain():
     seq = from_plain(["a", "b", "c"])
     layout = assign_positions(seq, tangle(seq, TangleParams(1, "plain")), LayoutParams(a=0.5))
-    assert layout.positions[2] == (1.5, 0.0)
+    assert point(layout, 2) == (1.5, 0.0)
 
 
 def test_shared_position_groups_are_match_components():
@@ -99,17 +104,17 @@ def test_stretch_pins_endpoints_of_colinear_string():
     seq = from_plain(["a", "b", "c"])
     layout = assign_positions(seq, tangle(seq, TangleParams(1, "plain")))
     relaxed = stretch(layout, LayoutParams(stretch_iterations=40))
-    assert relaxed.positions[0] == (0.0, 0.0)
-    assert relaxed.positions[2] == (2.0, 0.0)
+    assert point(relaxed, 0) == (0.0, 0.0)
+    assert point(relaxed, 2) == (2.0, 0.0)
 
 
 def test_stretch_preserves_shared_positions():
     _, _, layout = demo_layout()
     relaxed = stretch(layout, LayoutParams(stretch_iterations=30))
     assert relaxed.shared_position_groups == layout.shared_position_groups
-    for group in relaxed.shared_position_groups:
-        points = {relaxed.positions[member] for member in group}
-        assert len(points) == 1
+    assert relaxed.group_ids == layout.group_ids
+    # one point per group: the members of a group cannot come apart
+    assert len(relaxed.points) == len(relaxed.shared_position_groups)
 
 
 def test_stretch_keeps_pill_clusters_separated():
@@ -117,14 +122,14 @@ def test_stretch_keeps_pill_clusters_separated():
     relaxed = stretch(layout, LayoutParams(stretch_iterations=60))
 
     def centroid(pill):
-        xs = [relaxed.positions[i][0] for i in pill.members]
-        ys = [relaxed.positions[i][1] for i in pill.members]
+        xs = [point(relaxed, i)[0] for i in pill.members]
+        ys = [point(relaxed, i)[1] for i in pill.members]
         return (sum(xs) / len(xs), sum(ys) / len(ys))
 
     (ax, ay), (bx, by) = (centroid(p) for p in result.pills)
     separation = math.hypot(bx - ax, by - ay)
     steps = [
-        math.dist(relaxed.positions[i], relaxed.positions[i + 1])
+        math.dist(point(relaxed, i), point(relaxed, i + 1))
         for i in range(len(seq) - 1)
     ]
     assert separation >= sum(steps) / len(steps)
@@ -168,7 +173,7 @@ def test_stretch_refuses_a_non_finite_layout():
     # the grid cell of such a point is no integer
     for bad in (math.inf, math.nan):
         layout = LayoutResult(
-            {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (bad, 0.0), 3: (3.0, 0.0)},
+            ((0.0, 0.0), (1.0, 0.0), (bad, 0.0), (3.0, 0.0)),
             ((0,), (1,), (2,), (3,)),
             (0, 1, 2, 3),
         )
@@ -179,7 +184,7 @@ def test_stretch_refuses_a_non_finite_layout():
 def test_emit_json_never_writes_non_finite_numbers():
     _, result, layout = demo_layout()
     broken = LayoutResult(
-        {i: (math.nan, 0.0) for i in layout.positions},
+        tuple((math.nan, 0.0) for _ in layout.points),
         layout.shared_position_groups,
         layout.group_ids,
     )

@@ -39,11 +39,10 @@ ROUNDING = 1e-9  # relative: the same sums rounded with terms left out
 
 def unlinked_pairs(layout):
     """Each unlinked pair of groups, with the distance between them."""
-    groups, ids = layout.shared_position_groups, layout.group_ids
+    ids, points = layout.group_ids, layout.points
     linked = {(min(a, b), max(a, b)) for a, b in zip(ids, ids[1:])}
-    points = [layout.positions[group[0]] for group in groups]
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
             if (a, b) not in linked:
                 yield a, b, math.dist(points[a], points[b])
 
@@ -55,8 +54,8 @@ def check_step(layout, params):
     assert relaxed.shared_position_groups == expected.shared_position_groups
     assert relaxed.group_ids == expected.group_ids
     ids = layout.group_ids
-    for pinned in (0, len(ids) - 1):
-        assert relaxed.positions[pinned] == expected.positions[pinned] == layout.positions[pinned]
+    for pinned in (ids[0], ids[-1]):
+        assert relaxed.points[pinned] == expected.points[pinned] == layout.points[pinned]
 
     cut = [0] * len(layout.shared_position_groups)
     for a, b, dist in unlinked_pairs(layout):
@@ -66,10 +65,10 @@ def check_step(layout, params):
     if not any(cut):
         assert relaxed == expected
         return relaxed
-    scale = 1.0 + max(abs(c) for point in layout.positions.values() for c in point)
-    for event, gid in enumerate(ids):
+    scale = 1.0 + max(abs(c) for point in layout.points for c in point)
+    for gid, (got_point, want_point) in enumerate(zip(relaxed.points, expected.points)):
         bound = params.stretch_step * cut[gid] * PER_PAIR + ROUNDING * scale
-        for got, want in zip(relaxed.positions[event], expected.positions[event]):
+        for got, want in zip(got_point, want_point):
             assert abs(got - want) <= bound
     return relaxed
 
@@ -96,11 +95,11 @@ def test_groups_beyond_the_cutoff_do_not_repel():
     # four groups 12 units apart on a line; the pull of the two springs on
     # group 1 cancels, so only the all-pairs push from group 3 moves it
     layout = LayoutResult(
-        {i: (12.0 * i, 0.0) for i in range(4)}, ((0,), (1,), (2,), (3,)), (0, 1, 2, 3)
+        tuple((12.0 * i, 0.0) for i in range(4)), ((0,), (1,), (2,), (3,)), (0, 1, 2, 3)
     )
     params = LayoutParams(stretch_iterations=1)
-    assert stretch(layout, params).positions[1] == (12.0, 0.0)
-    assert stretch_oracle.stretch(layout, params).positions[1][0] < 12.0
+    assert stretch(layout, params).points[1] == (12.0, 0.0)
+    assert stretch_oracle.stretch(layout, params).points[1][0] < 12.0
     check_step(layout, params)
 
 
